@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .fields import Field
-from .matrix import SLMatrix, mat_product
+from .matrix import SLMatrix, is_upper_triangular, mat_product
 from .rootdata import coroot, elementary, weyl_representative
 
 
@@ -117,7 +117,7 @@ def bruhat_decompose(g: SLMatrix) -> BruhatForm:
     w = tuple(w)
     w_rep = weyl_representative(field, w)
     b = mat_product([w_rep.inverse(), SLMatrix(field, m)])
-    assert all(not b.rows[i][j] for i in range(n) for j in range(i))
+    assert is_upper_triangular(b)
     return BruhatForm(u=SLMatrix(field, u), w=w, w_rep=w_rep, b=b)
 
 

@@ -221,8 +221,19 @@ def find_regular_in_ball(
     X: GeneratingSet, rng: Random, budget: int = 10_000
 ) -> tuple[SLMatrix, Certificate]:
     """A regular upper triangular t with a certificate of length <= 4(n-1)
-    over X: t = x * n_0^2 * x_1 built from two certified big-cell samples."""
+    over X: t = x * n_0^2 * x_1 built from two certified big-cell samples.
+
+    Over F_p with p <= n + 1 no such t exists: its diagonal would need n
+    distinct nonzero residues with product 1, but p <= n leaves too few, and
+    p = n + 1 forces all of them, whose product is -1 (Wilson).  Those fields
+    raise ``ValueError`` before any sampling.
+    """
     field, n = X.field, X.n
+    if field.p is not None and field.p <= n + 1:
+        raise ValueError(
+            f"SL_{n}(F_{field.p}) has no upper triangular element with {n} distinct "
+            f"diagonal entries; the regular-element search needs p > {n + 1}"
+        )
     w0 = longest_perm(n)
     attempts = 0
 
@@ -246,7 +257,7 @@ def find_regular_in_ball(
         c1 = sample_next_to_n0(left=True)
         c2 = sample_next_to_n0(left=False)
         t = c1.target * c2.target
-        diag = [t.rows[i][i] for i in range(n)]
+        diag = t.entries[:: n + 1]  # one common denominator: equal ints, equal entries
         distinct = all(diag[i] != diag[j] for i in range(n) for j in range(i + 1, n))
         if not distinct:
             continue

@@ -1,10 +1,12 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Two scalar representations are used throughout the package: ``fractions.Fraction``
+Two scalar representations are used at the package's edges: ``fractions.Fraction``
 for rational values and :class:`Fp` for residues modulo a prime.  Both are
 canonical by construction (lowest terms with positive denominator; residue in
-``[0, p)``), so scalar equality is value equality and matrices can be compared
-and hashed entrywise.  No floating point appears anywhere.
+``[0, p)``), so scalar equality is value equality.  No floating point appears
+anywhere.  Matrices do not hold these objects: :mod:`slword.matrix` stores
+plain ints (residues, or integer numerators over one common denominator) and
+builds scalars only when code asks for them.
 
 A :class:`Field` value tags which of the two worlds a computation lives in and
 provides construction, parsing and formatting of scalars.  Arithmetic itself
@@ -36,8 +38,10 @@ def _is_prime(p: int) -> bool:
 class Fp:
     """Residue modulo a prime ``p``, kept in the canonical range ``[0, p)``.
 
-    Arithmetic mixes freely with ints (which are reduced mod p).  ``x ** -1``
-    is the multiplicative inverse; dividing by zero raises
+    Arithmetic mixes freely with ints (which are reduced mod p).  Equality
+    with an int compares the canonical residue with the int as it is, so
+    ``Fp(3, 5) == 3`` but ``Fp(3, 5) != 8``, in agreement with the hash.
+    ``x ** -1`` is the multiplicative inverse; dividing by zero raises
     ``ZeroDivisionError`` just as ``Fraction`` does.
     """
 
@@ -116,7 +120,7 @@ class Fp:
         if isinstance(other, Fp):
             return self.p == other.p and self.val == other.val
         if isinstance(other, int):
-            return self.val == other % self.p
+            return self.val == other
         return NotImplemented
 
     def __hash__(self):
@@ -166,6 +170,8 @@ class Field:
     def scalar(self, v) -> Scalar:
         """Coerce ``v`` (int, str, Fraction or Fp) to a canonical scalar."""
         if self.p is None:
+            if type(v) is Fraction:  # already canonical and immutable
+                return v
             if isinstance(v, Fp):
                 raise TypeError("residue given where a rational was expected")
             if isinstance(v, str):
@@ -188,11 +194,14 @@ class Field:
 
         Rationals are ``"num/den"`` or ``"int"`` with arbitrary signs and no
         reduction required; residues are decimal strings, reduced mod p.
+        Malformed strings, including a zero denominator, raise ``ValueError``.
         """
         s = s.strip()
         if self.p is None:
             if "/" in s:
                 num, den = s.split("/", 1)
+                if int(den) == 0:
+                    raise ValueError(f"zero denominator in {s!r}")
                 return Fraction(int(num), int(den))
             return Fraction(int(s))
         return Fp(int(s), self.p)
@@ -223,6 +232,8 @@ class Field:
 
     @classmethod
     def from_json(cls, d: dict) -> "Field":
+        if not isinstance(d, dict):
+            raise ValueError(f"field must be a JSON object, got {d!r}")
         kind = d.get("kind")
         if kind == "Q":
             return QQ

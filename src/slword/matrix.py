@@ -1,17 +1,29 @@
 """Exact determinant-one matrices and the operations the rest of the package
 builds on.
 
-An :class:`SLMatrix` is an immutable n-by-n array of canonical scalars with
-determinant exactly 1; the determinant is checked on every construction, so a
-value that exists is a group element.  All operations are pure and exact:
-products, inverses (Gauss-Jordan elimination; no pivot growth concerns since
-everything is exact), conjugates, commutators, characteristic polynomials
-(Samuelson-Berkowitz, division-free, so it works in any characteristic) and
-eigenvalue tests.
+An :class:`SLMatrix` is an immutable n-by-n matrix with determinant exactly
+1; the determinant is checked on every construction, so a value that exists
+is a group element.
 
-Matrix multiplication skips zero entries of the left factor.  Triangular,
-diagonal and elementary matrices dominate this domain, so the guard pays for
-itself many times over.
+Representation: the n*n entries are plain ints, row-major in one flat tuple
+``entries``, over one positive common denominator ``den``; entry (i, j) is
+``entries[i*n + j] / den``.
+
+- Over F_p the entries are residues in ``[0, p)`` and ``den`` is 1.
+- Over Q ``den`` is the least common denominator of the entries, so
+  ``gcd(den, *entries) == 1``; every product is reduced by that gcd.
+
+Both forms are canonical, so two matrices are equal exactly when their
+(field, n, entries, den) are, and zero and equality tests on entries are int
+tests.  No per-entry scalar objects are built: products accumulate row times
+column sums (reduced mod p, or over the product of the denominators); inverses
+and determinants use Gauss-Jordan and Gaussian elimination mod p, and
+fraction-free (Bareiss) elimination on the integer numerators over Q.
+``mat_product`` carries a whole chain through these kernels and builds one
+matrix at the end.  The F_p kernels are shared with :mod:`slword.oracle`.
+
+Code that needs field scalars (``Fraction`` or :class:`~slword.fields.Fp`)
+reads them through :attr:`SLMatrix.rows`, which builds them on each access.
 
 JSON encoding of a matrix is ``{"n": int, "field": {...}, "entries": [[str]]}``
 with entries formatted canonically on output and parsed loosely on input.
@@ -20,6 +32,8 @@ with entries formatted canonically on output and parsed loosely on input.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .fields import Field, Fp, Scalar
@@ -28,7 +42,7 @@ from .fields import Field, Fp, Scalar
 class SLMatrix:
     """Square matrix over an exact field with determinant 1."""
 
-    __slots__ = ("field", "n", "rows")
+    __slots__ = ("field", "n", "entries", "den")
 
     def __init__(self, field: Field, rows: Sequence[Sequence]):
         n = len(rows)
@@ -36,28 +50,27 @@ class SLMatrix:
             raise ValueError(f"dimension must be >= 2, got {n}")
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        canon = tuple(tuple(field.scalar(e) for e in row) for row in rows)
-        d = _det_rows(canon, field)
-        if d != field.one:
-            raise ValueError(f"determinant must be 1, got {field.format(d)}")
-        self.field = field
-        self.n = n
-        self.rows = canon
+        vals = [field.scalar(e) for row in rows for e in row]
+        if field.p is None:
+            den = lcm(*(v.denominator for v in vals))
+            entries = tuple(v.numerator * (den // v.denominator) for v in vals)
+        else:
+            den = 1
+            entries = tuple(v.val for v in vals)
+        _require_det_one(field, n, entries, den)
+        self.field, self.n, self.entries, self.den = field, n, entries, den
 
     @classmethod
-    def _wrap(cls, field: Field, n: int, rows) -> "SLMatrix":
-        # rows must already be canonical; the determinant check still runs
-        d = _det_rows(rows, field)
-        if d != field.one:
-            raise ValueError(f"determinant must be 1, got {field.format(d)}")
+    def _wrap(cls, field: Field, n: int, entries: tuple, den: int) -> "SLMatrix":
+        # entries/den must already be canonical; the determinant check still runs
+        _require_det_one(field, n, entries, den)
         out = cls.__new__(cls)
-        out.field, out.n, out.rows = field, n, rows
+        out.field, out.n, out.entries, out.den = field, n, entries, den
         return out
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "SLMatrix":
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._wrap(field, n, _identity_entries(n), 1)
 
     @classmethod
     def diagonal(cls, field: Field, entries: Sequence) -> "SLMatrix":
@@ -65,28 +78,47 @@ class SLMatrix:
         zero = field.zero
         return cls(field, [[es[i] if i == j else zero for j in range(len(es))] for i in range(len(es))])
 
+    @property
+    def rows(self) -> tuple:
+        """The entries as field scalars, one tuple per row; built on each access."""
+        n = self.n
+        if self.field.p is None:
+            den = self.den
+            vals = [Fraction(e, den) for e in self.entries]
+        else:
+            p = self.field.p
+            vals = [Fp(e, p) for e in self.entries]
+        return tuple(tuple(vals[i : i + n]) for i in range(0, n * n, n))
+
     def __mul__(self, other: "SLMatrix") -> "SLMatrix":
         self._check_compatible(other)
-        return SLMatrix._wrap(self.field, self.n, _mul_rows(self.rows, other.rows, self.field))
+        return SLMatrix._wrap(
+            self.field,
+            self.n,
+            *_product(self.field.p, self.n, self.entries, self.den, other.entries, other.den),
+        )
 
     def inverse(self) -> "SLMatrix":
-        return SLMatrix._wrap(self.field, self.n, _inverse_rows(self.rows, self.field))
+        n, p = self.n, self.field.p
+        if p is not None:
+            return SLMatrix._wrap(self.field, n, _inverse_mod(self.entries, n, p), 1)
+        return SLMatrix._wrap(self.field, n, *_inverse_q(self.entries, self.den, n))
 
     def __pow__(self, k: int) -> "SLMatrix":
         if k < 0:
             return self.inverse() ** (-k)
         acc = SLMatrix.identity(self.field, self.n)
-        for _ in range(k):
-            acc = acc * self
+        square = self
+        while k:
+            if k & 1:
+                acc = acc * square
+            k >>= 1
+            if k:
+                square = square * square
         return acc
 
     def is_identity(self) -> bool:
-        one, zero = self.field.one, self.field.zero
-        return all(
-            self.rows[i][j] == (one if i == j else zero)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self.den == 1 and self.entries == _identity_entries(self.n)
 
     def _check_compatible(self, other: "SLMatrix"):
         if self.field != other.field or self.n != other.n:
@@ -95,106 +127,201 @@ class SLMatrix:
     def __eq__(self, other):
         if not isinstance(other, SLMatrix):
             return NotImplemented
-        return self.field == other.field and self.n == other.n and self.rows == other.rows
+        return (
+            self.field == other.field
+            and self.n == other.n
+            and self.den == other.den
+            and self.entries == other.entries
+        )
 
     def __hash__(self):
-        return hash((self.field.p, self.n, tuple(_entry_key(e) for row in self.rows for e in row)))
+        return hash((self.field.p, self.n, self.den, self.entries))
 
     def key(self) -> tuple:
-        """Canonical hashable key: field, size and flattened entries."""
-        return (self.field.p, self.n) + tuple(_entry_key(e) for row in self.rows for e in row)
+        """Canonical hashable key: field, size, denominator and flat entries."""
+        return (self.field.p, self.n, self.den) + self.entries
 
     def __repr__(self):
-        f = self.field.format
-        body = ", ".join("[" + ", ".join(f(e) for e in row) + "]" for row in self.rows)
-        return f"SLMatrix({self.field!r}, [{body}])"
+        n, body = self.n, _entry_strings(self)
+        rows = ", ".join("[" + ", ".join(body[i : i + n]) + "]" for i in range(0, n * n, n))
+        return f"SLMatrix({self.field!r}, [{rows}])"
 
 
-def _entry_key(e: Scalar):
-    if isinstance(e, Fp):
-        return e.val
-    return (e.numerator, e.denominator)
+# flat int kernels: a matrix is a row-major tuple of n*n ints
 
 
-def _mul_rows(a, b, field: Field):
-    n = len(a)
-    zero = field.zero
-    out = []
-    for i in range(n):
-        arow = a[i]
-        acc = [zero] * n
-        for k in range(n):
-            aik = arow[k]
-            if not aik:
-                continue
-            brow = b[k]
-            for j in range(n):
-                bkj = brow[j]
-                if bkj:
-                    acc[j] = acc[j] + aik * bkj
-        out.append(tuple(acc))
-    return tuple(out)
+def _identity_entries(n: int) -> tuple:
+    return tuple(int(i == j) for i in range(n) for j in range(n))
 
 
-def _det_rows(rows, field: Field) -> Scalar:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = field.one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
+def _mul_int(a: tuple, b: tuple, n: int) -> tuple:
+    cols = list(zip(*[b[i : i + n] for i in range(0, n * n, n)]))
+    return tuple([sum(map(mul, a[i : i + n], col)) for i in range(0, n * n, n) for col in cols])
+
+
+def _mul_mod(a: tuple, b: tuple, n: int, p: int) -> tuple:
+    """a * b over F_p; unrolled for n = 2 and 3, where the oracle's searches
+    spend their time."""
+    if n == 2:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return (
+            (a0 * b0 + a1 * b2) % p,
+            (a0 * b1 + a1 * b3) % p,
+            (a2 * b0 + a3 * b2) % p,
+            (a2 * b1 + a3 * b3) % p,
+        )
+    if n == 3:
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        return (
+            (a0 * b0 + a1 * b3 + a2 * b6) % p,
+            (a0 * b1 + a1 * b4 + a2 * b7) % p,
+            (a0 * b2 + a1 * b5 + a2 * b8) % p,
+            (a3 * b0 + a4 * b3 + a5 * b6) % p,
+            (a3 * b1 + a4 * b4 + a5 * b7) % p,
+            (a3 * b2 + a4 * b5 + a5 * b8) % p,
+            (a6 * b0 + a7 * b3 + a8 * b6) % p,
+            (a6 * b1 + a7 * b4 + a8 * b7) % p,
+            (a6 * b2 + a7 * b5 + a8 * b8) % p,
+        )
+    return tuple([x % p for x in _mul_int(a, b, n)])
+
+
+def _product(p: int | None, n: int, a: tuple, da: int, b: tuple, db: int) -> tuple[tuple, int]:
+    """(entries, den) of the product of (a, da) and (b, db); p is None over Q."""
+    if p is not None:
+        return _mul_mod(a, b, n, p), 1
+    c = _mul_int(a, b, n)
+    d = da * db
+    if d != 1:
+        g = gcd(d, *c)
+        if g != 1:
+            c = tuple([x // g for x in c])
+            d //= g
+    return c, d
+
+
+def _det_mod(a: tuple, n: int, p: int) -> int:
+    """Determinant over F_p by Gaussian elimination, as a residue."""
+    m = [list(a[i : i + n]) for i in range(0, n * n, n)]
+    det = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] % p), None)
         if piv is None:
-            return field.zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
             det = -det
-        pval = m[col][col]
-        det = det * pval
-        for r in range(col + 1, n):
-            f = m[r][col] / pval
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+        prow = m[c]
+        det = det * prow[c] % p
+        f = pow(prow[c], -1, p)
+        for r in range(c + 1, n):
+            row = m[r]
+            if row[c] % p:
+                g = row[c] * f % p
+                m[r] = [(x - g * y) % p for x, y in zip(row, prow)]
+    return det % p
 
 
-def _inverse_rows(rows, field: Field):
-    n = len(rows)
-    m = [list(r) for r in rows]
-    one, zero = field.one, field.zero
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col])
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        pval = m[col][col]
-        if pval != one:
-            m[col] = [x / pval for x in m[col]]
-            inv[col] = [x / pval for x in inv[col]]
+def _inverse_mod(a: tuple, n: int, p: int) -> tuple:
+    """Inverse over F_p by Gauss-Jordan elimination; a must be invertible."""
+    m = [list(a[i : i + n]) for i in range(0, n * n, n)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c] % p)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            inv[c], inv[piv] = inv[piv], inv[c]
+        f = pow(m[c][c], -1, p)
+        m[c] = [x * f % p for x in m[c]]
+        inv[c] = [x * f % p for x in inv[c]]
         for r in range(n):
-            if r == col:
-                continue
-            f = m[r][col]
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(r) for r in inv)
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[c])]
+                inv[r] = [(x - f * y) % p for x, y in zip(inv[r], inv[c])]
+    return tuple([x for row in inv for x in row])
+
+
+def _det_int(a: tuple, n: int) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination:
+    every division is exact, so entries stay minors of a."""
+    m = [list(a[i : i + n]) for i in range(0, n * n, n)]
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        prow = m[c]
+        pv = prow[c]
+        for r in range(c + 1, n):
+            row = m[r]
+            f = row[c]
+            m[r] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = pv
+    return sign * m[n - 1][n - 1]
+
+
+def _inverse_q(a: tuple, den: int, n: int) -> tuple[tuple, int]:
+    """(entries, den) of the inverse of a / den over Q.
+
+    Fraction-free Gauss-Jordan on [a | I] ends with [d*I | d*a^-1] for one
+    integer pivot d, every division along the way exact; then
+    (a / den)^-1 = den * (d*a^-1) / d, reduced to lowest terms.
+    """
+    m = [list(a[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c])
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+        prow = m[c]
+        pv = prow[c]
+        for r in range(n):
+            if r != c:
+                row = m[r]
+                f = row[c]
+                m[r] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = pv
+    if prev < 0:
+        den, prev = -den, -prev
+    entries = [x * den for row in m for x in row[n:]]
+    g = gcd(prev, *entries)
+    return tuple([x // g for x in entries]), prev // g
+
+
+def _det_scalar(field: Field, n: int, entries: tuple, den: int) -> Scalar:
+    if field.p is None:
+        return Fraction(_det_int(entries, n), den**n)
+    return Fp(_det_mod(entries, n, field.p), field.p)
+
+
+def _require_det_one(field: Field, n: int, entries: tuple, den: int) -> None:
+    d = _det_scalar(field, n, entries, den)
+    if d != field.one:
+        raise ValueError(f"determinant must be 1, got {field.format(d)}")
 
 
 def mat_product(mats: Iterable[SLMatrix]) -> SLMatrix:
     """Product of a nonempty sequence of matrices, left to right.
 
-    Intermediate products are accumulated on raw rows, so only the final
-    result pays the construction-time determinant check.
+    The chain is accumulated on flat ints, so only the final result is built
+    as a matrix and pays the construction-time determinant check.
     """
     mats = list(mats)
     if not mats:
         raise ValueError("empty product")
-    field, n = mats[0].field, mats[0].n
-    acc = mats[0].rows
+    first = mats[0]
+    field, n, p = first.field, first.n, first.field.p
+    acc, den = first.entries, first.den
     for m in mats[1:]:
-        mats[0]._check_compatible(m)
-        acc = _mul_rows(acc, m.rows, field)
-    return SLMatrix._wrap(field, n, acc)
+        first._check_compatible(m)
+        acc, den = _product(p, n, acc, den, m.entries, m.den)
+    return SLMatrix._wrap(field, n, acc, den)
 
 
 def conjugate(g: SLMatrix, c: SLMatrix) -> SLMatrix:
@@ -207,45 +334,49 @@ def commutator(g: SLMatrix, h: SLMatrix) -> SLMatrix:
     return mat_product([g, h, g.inverse(), h.inverse()])
 
 
-# shape predicates
+# shape predicates, on the flat entries: an entry is zero iff its int is 0,
+# and equals 1 iff its int equals den
+
 
 def is_diagonal(g: SLMatrix) -> bool:
-    return all(not g.rows[i][j] for i in range(g.n) for j in range(g.n) if i != j)
+    n = g.n
+    return not any(e for k, e in enumerate(g.entries) if k % (n + 1))
 
 
 def is_upper_triangular(g: SLMatrix) -> bool:
-    return all(not g.rows[i][j] for i in range(g.n) for j in range(i))
+    n, es = g.n, g.entries
+    return not any(es[i * n + j] for i in range(n) for j in range(i))
 
 
 def is_lower_triangular(g: SLMatrix) -> bool:
-    return all(not g.rows[i][j] for i in range(g.n) for j in range(i + 1, g.n))
+    n, es = g.n, g.entries
+    return not any(es[i * n + j] for i in range(n) for j in range(i + 1, n))
 
 
 def is_upper_unitriangular(g: SLMatrix) -> bool:
-    one = g.field.one
-    return is_upper_triangular(g) and all(g.rows[i][i] == one for i in range(g.n))
+    return is_upper_triangular(g) and all(e == g.den for e in g.entries[:: g.n + 1])
 
 
 def is_lower_unitriangular(g: SLMatrix) -> bool:
-    one = g.field.one
-    return is_lower_triangular(g) and all(g.rows[i][i] == one for i in range(g.n))
+    return is_lower_triangular(g) and all(e == g.den for e in g.entries[:: g.n + 1])
 
 
 def is_central(g: SLMatrix) -> bool:
     """True iff g is a scalar matrix (the center of SL_n)."""
-    d = g.rows[0][0]
-    return is_diagonal(g) and all(g.rows[i][i] == d for i in range(g.n))
+    diag = g.entries[:: g.n + 1]
+    return is_diagonal(g) and all(e == diag[0] for e in diag)
 
 
 def leading_principal_minors(g: SLMatrix) -> list:
-    """Determinants of the leading k-by-k blocks, k = 1..n.
+    """Determinants of the leading k-by-k blocks, k = 1..n, as field scalars.
 
-    Computed by direct determinant expansion of each block, independently of
-    any factorization routine, so it can serve as a cross-check.
+    Computed by direct elimination on each block, independently of any
+    factorization routine, so it can serve as a cross-check.
     """
+    n, es = g.n, g.entries
     return [
-        _det_rows(tuple(row[: k + 1] for row in g.rows[: k + 1]), g.field)
-        for k in range(g.n)
+        _det_scalar(g.field, k, tuple(es[i * n + j] for i in range(k) for j in range(k)), g.den)
+        for k in range(1, n + 1)
     ]
 
 
@@ -386,12 +517,25 @@ def _gcd(a: int, b: int) -> int:
 
 # JSON encoding
 
+def _entry_strings(g: SLMatrix) -> list[str]:
+    """Canonical strings of the flat entries, as ``Field.format`` writes the
+    same values: residues in decimal, rationals as ``num`` or ``num/den`` in
+    lowest terms."""
+    if g.field.p is not None:
+        return [str(e) for e in g.entries]
+    den, out = g.den, []
+    for e in g.entries:
+        c = gcd(e, den)
+        out.append(str(e // c) if c == den else f"{e // c}/{den // c}")
+    return out
+
+
 def matrix_to_json(g: SLMatrix) -> dict:
-    f = g.field.format
+    n, strs = g.n, _entry_strings(g)
     return {
-        "n": g.n,
+        "n": n,
         "field": g.field.to_json(),
-        "entries": [[f(e) for e in row] for row in g.rows],
+        "entries": [strs[i : i + n] for i in range(0, n * n, n)],
     }
 
 
@@ -402,6 +546,8 @@ def matrix_from_json(d: dict) -> SLMatrix:
         entries = d["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise ValueError("matrix JSON entries must be a list of rows")
     if len(entries) != n or any(len(r) != n for r in entries):
         raise ValueError(f"matrix JSON claims n={n} but entries are {len(entries)} rows")
     return SLMatrix(field, [[field.parse(str(e)) for e in row] for row in entries])

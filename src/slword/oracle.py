@@ -2,9 +2,10 @@
 conjugacy classes, exact conjugate-word norms, diameters and the invariants
 Delta / Delta_k.
 
-Elements are stored as flat row-major tuples of residues, which keeps the
-breadth-first searches in plain int arithmetic; :class:`SLMatrix` appears only
-at the API boundary.
+Elements are stored as flat row-major tuples of residues, the form
+:class:`SLMatrix` itself stores over F_p, so the breadth-first searches run on
+the matrix module's F_p kernels directly; :class:`SLMatrix` objects appear
+only at the API boundary.
 
 Word norms here are with respect to a set of conjugacy classes: the letter
 set of a class selection is the union of the chosen classes and their inverse
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fields import GF
-from .matrix import SLMatrix
+from .matrix import SLMatrix, _det_mod, _inverse_mod, _mul_mod
 from .rootdata import elementary
 
 
@@ -41,75 +42,6 @@ FINITE_FIELD_NOTE = (
 
 class GroupSizeCapExceeded(RuntimeError):
     pass
-
-
-def _mul(a: tuple, b: tuple, n: int, p: int) -> tuple:
-    if n == 2:
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
-        return (
-            (a0 * b0 + a1 * b2) % p,
-            (a0 * b1 + a1 * b3) % p,
-            (a2 * b0 + a3 * b2) % p,
-            (a2 * b1 + a3 * b3) % p,
-        )
-    if n == 3:
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-        return (
-            (a0 * b0 + a1 * b3 + a2 * b6) % p,
-            (a0 * b1 + a1 * b4 + a2 * b7) % p,
-            (a0 * b2 + a1 * b5 + a2 * b8) % p,
-            (a3 * b0 + a4 * b3 + a5 * b6) % p,
-            (a3 * b1 + a4 * b4 + a5 * b7) % p,
-            (a3 * b2 + a4 * b5 + a5 * b8) % p,
-            (a6 * b0 + a7 * b3 + a8 * b6) % p,
-            (a6 * b1 + a7 * b4 + a8 * b7) % p,
-            (a6 * b2 + a7 * b5 + a8 * b8) % p,
-        )
-    return tuple(
-        sum(a[i * n + k] * b[k * n + j] for k in range(n)) % p
-        for i in range(n)
-        for j in range(n)
-    )
-
-
-def _inv(a: tuple, n: int, p: int) -> tuple:
-    m = [[a[i * n + j] for j in range(n)] for i in range(n)]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] % p)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        f = pow(m[col][col], -1, p)
-        m[col] = [x * f % p for x in m[col]]
-        inv[col] = [x * f % p for x in inv[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-                inv[r] = [(x - f * y) % p for x, y in zip(inv[r], inv[col])]
-    return tuple(x for row in inv for x in row)
-
-
-def _det(a: tuple, n: int, p: int) -> int:
-    m = [[a[i * n + j] for j in range(n)] for i in range(n)]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        f = pow(m[col][col], -1, p)
-        for r in range(col + 1, n):
-            if m[r][col]:
-                g = m[r][col] * f % p
-                m[r] = [(x - g * y) % p for x, y in zip(m[r], m[col])]
-    return det % p
 
 
 @dataclass
@@ -134,7 +66,7 @@ class GroupTable:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
-        return self.index[_mul(self.elements[i], self.elements[j], self.n, self.p)]
+        return self.index[_mul_mod(self.elements[i], self.elements[j], self.n, self.p)]
 
     def matrix(self, i: int) -> SLMatrix:
         field, n = GF(self.p), self.n
@@ -144,7 +76,7 @@ class GroupTable:
     def index_of(self, g: SLMatrix) -> int:
         if g.field.p != self.p or g.n != self.n:
             raise ValueError("dimension/field mismatch")
-        return self.index[tuple(e.val for row in g.rows for e in row)]
+        return self.index[g.entries]
 
     def central_class_indices(self) -> tuple[int, ...]:
         return tuple(i for i, cls in enumerate(self.classes) if len(cls) == 1)
@@ -158,7 +90,7 @@ def enumerate_group(n: int, p: int, cap: int = 10**6) -> GroupTable:
     for i in range(1, n):
         for (a, b) in ((i, i + 1), (i + 1, i)):
             g = elementary(field, n, a, b, 1)
-            gens.append(tuple(e.val for row in g.rows for e in row))
+            gens.append(g.entries)
     ident = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
     elements = [ident]
@@ -168,7 +100,7 @@ def enumerate_group(n: int, p: int, cap: int = 10**6) -> GroupTable:
         nxt = []
         for e in frontier:
             for g in gens:
-                prod = _mul(e, g, n, p)
+                prod = _mul_mod(e, g, n, p)
                 if prod not in index:
                     if len(elements) >= cap:
                         raise GroupSizeCapExceeded(
@@ -179,12 +111,12 @@ def enumerate_group(n: int, p: int, cap: int = 10**6) -> GroupTable:
                     nxt.append(prod)
         frontier = nxt
 
-    inverse = [index[_inv(e, n, p)] for e in elements]
+    inverse = [index[_inverse_mod(e, n, p)] for e in elements]
 
     # conjugacy classes: orbits under conjugation by the generators
     class_of = [-1] * len(elements)
     classes = []
-    gen_pairs = [(g, _inv(g, n, p)) for g in gens]
+    gen_pairs = [(g, _inverse_mod(g, n, p)) for g in gens]
     for start in range(len(elements)):
         if class_of[start] != -1:
             continue
@@ -195,7 +127,7 @@ def enumerate_group(n: int, p: int, cap: int = 10**6) -> GroupTable:
         while queue:
             e = elements[queue.pop()]
             for g, gi in gen_pairs:
-                conj = _mul(_mul(g, e, n, p), gi, n, p)
+                conj = _mul_mod(_mul_mod(g, e, n, p), gi, n, p)
                 ci = index[conj]
                 if class_of[ci] == -1:
                     class_of[ci] = cid
@@ -230,7 +162,7 @@ def brute_force_elements(n: int, p: int) -> set[tuple]:
             e.append(c % p)
             c //= p
         e = tuple(e)
-        if _det(e, n, p) == 1:
+        if _det_mod(e, n, p) == 1:
             out.add(e)
     return out
 
@@ -261,7 +193,7 @@ def _bfs_norms(table: GroupTable, class_ids) -> list[int]:
         nxt = []
         for e in frontier:
             for l in letters:
-                prod = _mul(e, l, n, p)
+                prod = _mul_mod(e, l, n, p)
                 i = table.index[prod]
                 if norms[i] == -1:
                     norms[i] = dist

@@ -52,10 +52,11 @@ def coroot_coordinates(t: SLMatrix) -> tuple:
     """
     if not is_diagonal(t):
         raise ValueError("coroot coordinates need a diagonal matrix")
+    rows = t.rows
     coords = []
     acc = t.field.one
     for i in range(t.n - 1):
-        acc = acc * t.rows[i][i]
+        acc = acc * rows[i][i]
         coords.append(acc)
     return tuple(coords)
 

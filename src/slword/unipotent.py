@@ -29,7 +29,8 @@ from .matrix import SLMatrix, is_diagonal, is_upper_triangular, is_upper_unitria
 def _require_regular_borel(t: SLMatrix):
     if not is_upper_triangular(t):
         raise ValueError("expected an upper triangular matrix")
-    diag = [t.rows[i][i] for i in range(t.n)]
+    rows = t.rows
+    diag = [rows[i][i] for i in range(t.n)]
     for i in range(t.n):
         for j in range(i + 1, t.n):
             if diag[i] == diag[j]:
@@ -46,7 +47,7 @@ def diagonalize_in_borel(t: SLMatrix) -> tuple[SLMatrix, SLMatrix]:
     gives v_ij = (sum_{i<=k<j} v_ik t_kj) / (t_ii - t_jj).
     """
     diag = _require_regular_borel(t)
-    field, n = t.field, t.n
+    field, n, trows = t.field, t.n, t.rows
     one, zero = field.one, field.zero
     v = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for off in range(1, n):
@@ -54,8 +55,8 @@ def diagonalize_in_borel(t: SLMatrix) -> tuple[SLMatrix, SLMatrix]:
             j = i + off
             acc = zero
             for k in range(i, j):
-                if v[i][k] and t.rows[k][j]:
-                    acc = acc + v[i][k] * t.rows[k][j]
+                if v[i][k] and trows[k][j]:
+                    acc = acc + v[i][k] * trows[k][j]
             v[i][j] = acc / (diag[i] - diag[j])
     vm = SLMatrix(field, v)
     d = SLMatrix.diagonal(field, diag)
@@ -73,16 +74,16 @@ def solve_twisted_conjugation(d: SLMatrix, u: SLMatrix) -> SLMatrix:
     diag = _require_regular_borel(d)
     if not is_upper_unitriangular(u):
         raise ValueError("expected an upper unitriangular matrix")
-    field, n = d.field, d.n
+    field, n, urows = d.field, d.n, u.rows
     one, zero = field.one, field.zero
     v = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for off in range(1, n):
         for i in range(n - off):
             j = i + off
-            acc = u.rows[i][j] * diag[j]
+            acc = urows[i][j] * diag[j]
             for k in range(i + 1, j):
-                if u.rows[i][k] and v[k][j]:
-                    acc = acc + u.rows[i][k] * diag[k] * v[k][j]
+                if urows[i][k] and v[k][j]:
+                    acc = acc + urows[i][k] * diag[k] * v[k][j]
             v[i][j] = acc / (diag[j] - diag[i])
     return SLMatrix(field, v)
 

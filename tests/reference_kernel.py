@@ -1,0 +1,73 @@
+"""Reference matrix arithmetic on per-entry field scalars.
+
+These are the scalar routines ``slword.matrix`` used before it moved to flat
+int kernels: rows are tuples of ``Fraction`` or ``Fp`` objects and every
+operation goes through the scalars' own operators.  They are slow but
+obviously correct, and ``test_kernel.py`` checks the int kernels against them.
+"""
+
+from slword.fields import Field
+
+
+def mul_rows(a, b, field: Field):
+    n = len(a)
+    zero = field.zero
+    out = []
+    for i in range(n):
+        arow = a[i]
+        acc = [zero] * n
+        for k in range(n):
+            aik = arow[k]
+            if not aik:
+                continue
+            brow = b[k]
+            for j in range(n):
+                bkj = brow[j]
+                if bkj:
+                    acc[j] = acc[j] + aik * bkj
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def det_rows(rows, field: Field):
+    n = len(rows)
+    m = [list(r) for r in rows]
+    det = field.one
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return field.zero
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        pval = m[col][col]
+        det = det * pval
+        for r in range(col + 1, n):
+            f = m[r][col] / pval
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def inverse_rows(rows, field: Field):
+    n = len(rows)
+    m = [list(r) for r in rows]
+    one, zero = field.one, field.zero
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col])
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            inv[col], inv[piv] = inv[piv], inv[col]
+        pval = m[col][col]
+        if pval != one:
+            m[col] = [x / pval for x in m[col]]
+            inv[col] = [x / pval for x in inv[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            f = m[r][col]
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return tuple(tuple(r) for r in inv)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from slword import QQ, SLMatrix, elementary, matrix_to_json
+from slword import GF, QQ, SLMatrix, elementary, matrix_to_json
 from slword.cli import main
 
 
@@ -173,21 +174,81 @@ def test_certify_rejects_bad_inputs(tmp_path, target_file, generator_file, capsy
 
 
 def test_certify_budget_exhaustion_is_exit_2(tmp_path, capsys):
-    # over F_2 no diagonal has two distinct entries, so the regular-element
-    # search must exhaust its budget
-    f2 = {"kind": "Fp", "p": 2}
+    # one attempt cannot supply the two open-cell samples the regular-element
+    # search needs, so it must exhaust its budget whatever the seed
+    f5 = {"kind": "Fp", "p": 5}
     tgt = write_json(
-        tmp_path / "t2.json", {"n": 2, "field": f2, "entries": [["1", "1"], ["0", "1"]]}
+        tmp_path / "t5.json", {"n": 2, "field": f5, "entries": [["1", "1"], ["0", "1"]]}
     )
     xs = write_json(
-        tmp_path / "x2.json", [{"n": 2, "field": f2, "entries": [["1", "0"], ["1", "1"]]}]
+        tmp_path / "x5.json", [{"n": 2, "field": f5, "entries": [["1", "0"], ["1", "1"]]}]
     )
-    code, _, _ = run_cli(
-        ["certify", "--field", "Fp:2", "--n", "2", "--target", tgt, "--genset", xs,
-         "--budget", "50", "--seed", "1"],
+    code, _, stderr = run_cli(
+        ["certify", "--field", "Fp:5", "--n", "2", "--target", tgt, "--genset", xs,
+         "--budget", "1", "--seed", "1"],
         capsys,
     )
     assert code == 2
+    assert "no hit in 1 attempts" in stderr
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (3, 3), (5, 4)])
+def test_certify_unsatisfiable_prime_is_exit_3(tmp_path, capsys, p, n):
+    # F_p with p <= n + 1 has no regular triangular element in SL_n: rejected
+    # before any sampling instead of running the budget out
+    fp = GF(p)
+    tgt = write_json(tmp_path / "t.json", matrix_to_json(elementary(fp, n, 1, 2, 1)))
+    xs = write_json(tmp_path / "x.json", [matrix_to_json(elementary(fp, n, 2, 1, 1))])
+    code, _, stderr = run_cli(
+        ["certify", "--field", f"Fp:{p}", "--n", str(n), "--target", tgt, "--genset", xs,
+         "--budget", "2000", "--seed", "1"],
+        capsys,
+    )
+    assert code == 3
+    assert f"p > {n + 1}" in stderr
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[["1", "0"], ["0", "1/0"]], 7, "ab", [["1", "0"], 5]],
+    ids=["zero-denominator", "int", "string", "row-not-list"],
+)
+def test_certify_malformed_target_entries_is_exit_3(tmp_path, genset_file, capsys, entries):
+    tgt = write_json(tmp_path / "bad.json", {"n": 2, "field": {"kind": "Q"}, "entries": entries})
+    code, _, stderr = run_cli(
+        ["certify", "--field", "Q", "--n", "2", "--target", tgt, "--genset", genset_file],
+        capsys,
+    )
+    assert code == 3
+    assert stderr.startswith("error:")
+
+
+# SHA-256 of `certify --genset X={E_12(1)} --seed 5` for two fixed targets, as
+# produced by the scalar-entry matrix kernel this package used before its flat
+# int kernel; a fixed seed must keep giving byte-identical certificates
+GOLDEN_CERTIFICATES = [
+    ("Q", [["1", "0", "-2"], ["2", "1", "-4"], ["3", "-3", "-5"]],
+     "82cf0a4a082449ee823dea4b65d301f4bc6cc64d72647a28185739b5ff75903f"),
+    ("Fp:101", [["1", "0", "0", "0"], ["0", "23", "7", "18"], ["94", "18", "46", "58"],
+                ["22", "81", "19", "81"]],
+     "525b543404af0262cd85deba70eb36b8bf5cfb57eec1ee12589e4042aa235ce0"),
+]
+
+
+@pytest.mark.parametrize("field_arg,entries,digest", GOLDEN_CERTIFICATES, ids=["Q", "F101"])
+def test_certify_output_is_byte_identical_to_golden(tmp_path, capsys, field_arg, entries, digest):
+    field = QQ if field_arg == "Q" else GF(int(field_arg.split(":")[1]))
+    n = len(entries)
+    kind = field.to_json()
+    tgt = write_json(tmp_path / "g.json", {"n": n, "field": kind, "entries": entries})
+    xs = write_json(tmp_path / "x.json", [matrix_to_json(elementary(field, n, 1, 2, 1))])
+    code, stdout, _ = run_cli(
+        ["certify", "--field", field_arg, "--n", str(n), "--target", tgt, "--genset", xs,
+         "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_bruhat_report(tmp_path, capsys):

@@ -80,6 +80,26 @@ def test_mixed_fields_rejected():
         QQ.scalar(Fp(1, 5))
 
 
+small_ints = st.integers(min_value=-30, max_value=30)
+small_primes = st.sampled_from((2, 5, 13))
+
+
+@given(
+    st.builds(Fp, small_ints, small_primes),
+    st.one_of(small_ints, st.builds(Fp, small_ints, small_primes)),
+)
+def test_residue_equality_agrees_with_hash(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == b) == (b == a)
+
+
+def test_residue_equals_only_its_canonical_int():
+    assert Fp(3, 5) == 3
+    assert Fp(3, 5) != 8 and Fp(3, 5) != -2
+    assert {Fp(3, 5): "x"}.get(3) == "x"
+
+
 def test_int_coercion():
     assert 1 - Fp(3, 7) == Fp(5, 7)
     assert Fp(3, 7) + 6 == Fp(2, 7)
@@ -98,3 +118,10 @@ def test_field_json_round_trip():
         assert Field.from_json(f.to_json()) == f
     with pytest.raises(ValueError):
         Field.from_json({"kind": "R"})
+    with pytest.raises(ValueError):
+        Field.from_json("Q")
+
+
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        QQ.parse("1/0")

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,26 @@ def test_powers():
     assert e**-3 == elementary(QQ, 2, 1, 2, -3)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "F101"])
+def test_powers_match_repeated_multiplication(field):
+    g = mat_product([elementary(field, 3, 1, 2, 1), elementary(field, 3, 3, 1, -1),
+                     elementary(field, 3, 2, 3, 2)])
+    acc = SLMatrix.identity(field, 3)
+    for k in range(13):
+        assert g**k == acc
+        assert g**-k == acc.inverse()
+        acc = acc * g
+
+
+def test_large_powers_are_fast():
+    field = GF(101)
+    g = mat_product([elementary(field, 4, 1, 2, 3), elementary(field, 4, 4, 1, 5)])
+    t0 = time.perf_counter()
+    assert elementary(field, 4, 1, 3, 1) ** 10**6 == elementary(field, 4, 1, 3, 10**6)
+    assert g**20000 * g**-19999 == g
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_matrices_as_dict_keys():
     a = SLMatrix(QQ, [[1, 1], [0, 1]])
     b = SLMatrix(QQ, [[1, "2/2"], [0, 1]])  # same value, different spelling
@@ -230,3 +251,8 @@ def test_json_rejects_bad_input():
         matrix_from_json({"n": 3, "field": {"kind": "Q"}, "entries": [["1", "0"], ["0", "1"]]})
     with pytest.raises(ValueError):
         matrix_from_json({"field": {"kind": "Q"}})
+    for entries in (5, "ab", {"a": 1, "b": 2}, ["12", "34"], [["1", "0"], ["0", "1/0"]]):
+        with pytest.raises(ValueError):
+            matrix_from_json({"n": 2, "field": {"kind": "Q"}, "entries": entries})
+    with pytest.raises(ValueError):
+        matrix_from_json({"n": 2, "field": "Q", "entries": [["1", "0"], ["0", "1"]]})
