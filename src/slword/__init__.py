@@ -16,21 +16,26 @@ from .bruhat import (
 )
 from .certificate import (
     Certificate,
+    CertificateMismatch,
     Letter,
     certificate_from_json,
     certificate_to_json,
     conjugate_certificate,
     evaluate_certificate,
+    require_valid,
+    substitute_certificate,
     verify_certificate,
 )
 from .decompose import (
     GeneratingSet,
     decompose_as_conjugates_of,
     decompose_full,
+    decompose_via_sourour,
     decompose_via_unipotents,
     find_regular_in_ball,
     random_sl,
     random_sl_bounded,
+    smallest_radius,
 )
 from .fields import GF, QQ, Field, Fp, Scalar
 from .matrix import (

@@ -9,7 +9,8 @@ letters (c, k, e) with e in {+1, -1}; it asserts
 ``verify_certificate`` re-multiplies everything from scratch and compares
 exactly; it places no trust whatsoever in whoever produced the certificate.
 The word length is then a proven upper bound for the conjugate-word norm of g
-with respect to the base.
+with respect to the base.  ``require_valid`` is the same check as an explicit
+guard that raises, so it also holds under ``python -O``.
 
 JSON layout (bit-exact after canonicalization):
 
@@ -20,7 +21,7 @@ JSON layout (bit-exact after canonicalization):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 
 from .fields import Field
 from .matrix import SLMatrix, mat_product, matrix_from_json, matrix_to_json
@@ -42,6 +43,9 @@ class Certificate:
     word: tuple[Letter, ...]
     seed: int | None = None
     bound_claimed: int | None = None
+    # deterministic counters of the searches that built the certificate; not
+    # part of the JSON or of equality
+    stats: dict | None = dataclass_field(default=None, compare=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -89,6 +93,47 @@ def verify_certificate(cert: Certificate) -> bool:
     {+1,-1}) raise ValueError rather than returning False.
     """
     return evaluate_certificate(cert) == cert.target
+
+
+class CertificateMismatch(RuntimeError):
+    """A certificate whose word does not multiply to its target, or whose
+    length exceeds the bound it claims."""
+
+
+def require_valid(cert: Certificate) -> Certificate:
+    """Return ``cert`` after one exact check of its identity and its claimed
+    bound; raise ``CertificateMismatch`` otherwise."""
+    if not verify_certificate(cert):
+        raise CertificateMismatch("the constructed word does not multiply to the target")
+    if cert.bound_claimed is not None and cert.length > cert.bound_claimed:
+        raise CertificateMismatch(
+            f"the constructed word has length {cert.length}, over its bound {cert.bound_claimed}"
+        )
+    return cert
+
+
+def substitute_certificate(outer: Certificate, inner: Certificate) -> Certificate:
+    """Certificate for outer's target over inner's base.
+
+    ``outer`` must be written over the single base element ``inner.target``.
+    Each letter c t^e c^-1 of ``outer`` becomes inner's word with every
+    conjugator multiplied by c on the left, reversed with flipped exponents
+    when e = -1.  The length is the product of the two lengths.
+    """
+    if outer.base != (inner.target,):
+        raise ValueError("the outer certificate must be over the inner certificate's target")
+    letters = []
+    for l in outer.word:
+        if l.exponent == +1:
+            for il in inner.word:
+                letters.append(Letter(l.conjugator * il.conjugator, il.base_index, il.exponent))
+        else:
+            # t^-1 reverses t's word and flips every exponent
+            for il in reversed(inner.word):
+                letters.append(Letter(l.conjugator * il.conjugator, il.base_index, -il.exponent))
+    return Certificate(
+        field=outer.field, n=outer.n, target=outer.target, base=inner.base, word=tuple(letters)
+    )
 
 
 def conjugate_certificate(cert: Certificate, c: SLMatrix) -> Certificate:

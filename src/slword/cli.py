@@ -5,8 +5,10 @@ can be piped straight into other tools.  All randomness is driven by --seed
 (falling back to the SLWORD_SEED environment variable, then 0), and a fixed
 seed reproduces byte-identical output.
 
-Exit codes: 0 success, 1 certificate verification mismatch, 2 search budget
-exhausted, 3 invalid input, 4 group-size cap exceeded.
+Exit codes: 0 success, 1 certificate verification mismatch (from ``verify``,
+or from ``certify`` when the certificate it built fails its own final
+check), 2 search budget exhausted, 3 invalid input, 4 group-size cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -18,8 +20,13 @@ import sys
 from random import Random
 
 from .bruhat import SearchBudgetExceeded, big_cell_decompose, bruhat_decompose
-from .certificate import certificate_from_json, certificate_to_json, evaluate_certificate
-from .decompose import GeneratingSet, decompose_as_conjugates_of, decompose_full
+from .certificate import (
+    CertificateMismatch,
+    certificate_from_json,
+    certificate_to_json,
+    evaluate_certificate,
+)
+from .decompose import GeneratingSet, decompose_full, decompose_via_sourour
 from .fields import Field, GF, QQ
 from .matrix import matrix_from_json, matrix_to_json
 from .oracle import (
@@ -66,7 +73,7 @@ def cmd_certify(args) -> int:
     rng = Random(seed)
     if args.generator:
         t = matrix_from_json(_load_json(args.generator))
-        cert = decompose_as_conjugates_of(target, t, rng, args.budget).with_meta(
+        cert = decompose_via_sourour(target, t, rng, args.budget).with_meta(
             seed=seed, bound_claimed=14
         )
     else:
@@ -79,8 +86,26 @@ def cmd_certify(args) -> int:
         with open(args.out, "w") as f:
             f.write(out)
     sys.stdout.write(out)
-    print(f"certificate length {cert.length} (claimed bound {cert.bound_claimed})", file=sys.stderr)
+    print(
+        f"certificate length {cert.length} (claimed bound {cert.bound_claimed}); "
+        + _describe_searches(cert.stats),
+        file=sys.stderr,
+    )
     return 0
+
+
+def _describe_searches(stats: dict) -> str:
+    """The route and the attempts of each search, for the stderr summary."""
+    parts = [f"route {stats['route']}"]
+    if "radius" in stats:
+        parts.append(
+            f"t at radius {stats['radius']} after {stats['samples']} samples "
+            f"({stats['cell_misses']} outside the open cell, "
+            f"{stats['diagonal_retries']} pairs with a repeated diagonal)"
+        )
+    if "basis_attempts" in stats:
+        parts.append(f"basis search {stats['basis_attempts']} attempts")
+    return "; ".join(parts)
 
 
 def cmd_verify(args) -> int:
@@ -214,6 +239,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CertificateMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

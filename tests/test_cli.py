@@ -2,12 +2,27 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from slword import GF, QQ, SLMatrix, elementary, matrix_to_json
-from slword.cli import main
+from slword import (
+    GF,
+    QQ,
+    GeneratingSet,
+    SLMatrix,
+    certificate_to_json,
+    decompose,
+    decompose_as_conjugates_of,
+    elementary,
+    find_regular_in_ball,
+    matrix_from_json,
+    matrix_to_json,
+    substitute_certificate,
+)
+from slword.cli import _dumps, main
 
 
 def write_json(path, obj):
@@ -76,7 +91,10 @@ def test_verify_detects_mutation(tmp_path, target_file, generator_file, capsys):
         capsys,
     )
     cert = json.loads(open(out).read())
-    cert["word"][0]["conjugator"]["entries"][0][1] = "99"
+    # add 99 times row 2 to row 1 of a conjugator: still determinant 1, so
+    # the certificate parses and only the product can expose it
+    rows = cert["word"][0]["conjugator"]["entries"]
+    rows[0] = [str(Fraction(a) + 99 * Fraction(b)) for a, b in zip(rows[0], rows[1])]
     mutated = write_json(tmp_path / "bad.json", cert)
     code, stdout, stderr = run_cli(["verify", mutated], capsys)
     assert code == 1
@@ -192,6 +210,38 @@ def test_certify_budget_exhaustion_is_exit_2(tmp_path, capsys):
     assert "no hit in 1 attempts" in stderr
 
 
+def test_budget_exhaustion_names_the_stage_that_spent_it(tmp_path, capsys):
+    # open-cell sampling and the distinct-diagonal retry share one budget of
+    # samples; with two samples some seeds miss the open cell and others hit
+    # it twice with a repeated diagonal, and the message must say which
+    f7 = {"kind": "Fp", "p": 7}
+    tgt = write_json(
+        tmp_path / "t7.json", {"n": 2, "field": f7, "entries": [["1", "1"], ["0", "1"]]}
+    )
+    xs = write_json(
+        tmp_path / "x7.json", [{"n": 2, "field": f7, "entries": [["1", "0"], ["1", "1"]]}]
+    )
+    stages = set()
+    for seed in range(12):
+        code, _, stderr = run_cli(
+            ["certify", "--field", "Fp:7", "--n", "2", "--target", tgt, "--genset", xs,
+             "--budget", "2", "--seed", str(seed)],
+            capsys,
+        )
+        if code == 0:
+            continue
+        assert code == 2
+        assert "no hit in 2 attempts" in stderr
+        if stderr.startswith("error: sampling the open Bruhat cell"):
+            stages.add("cell")
+            assert "missed it" in stderr and "(0 of 2" not in stderr
+        else:
+            assert stderr.startswith("error: sampling a regular element with distinct diagonal")
+            assert "(2 of 2 samples went into pairs with a repeated diagonal" in stderr
+            stages.add("diagonal")
+    assert stages == {"cell", "diagonal"}
+
+
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (3, 3), (5, 4)])
 def test_certify_unsatisfiable_prime_is_exit_3(tmp_path, capsys, p, n):
     # F_p with p <= n + 1 has no regular triangular element in SL_n: rejected
@@ -225,7 +275,9 @@ def test_certify_malformed_target_entries_is_exit_3(tmp_path, genset_file, capsy
 
 # SHA-256 of `certify --genset X={E_12(1)} --seed 5` for two fixed targets, as
 # produced by the scalar-entry matrix kernel this package used before its flat
-# int kernel; a fixed seed must keep giving byte-identical certificates
+# int kernel, when certify took t from the radius n-1 ball and g over t by the
+# seven-block route; a fixed seed must keep giving byte-identical
+# certificates, so the same library calls must still reproduce them
 GOLDEN_CERTIFICATES = [
     ("Q", [["1", "0", "-2"], ["2", "1", "-4"], ["3", "-3", "-5"]],
      "82cf0a4a082449ee823dea4b65d301f4bc6cc64d72647a28185739b5ff75903f"),
@@ -234,21 +286,95 @@ GOLDEN_CERTIFICATES = [
      "525b543404af0262cd85deba70eb36b8bf5cfb57eec1ee12589e4042aa235ce0"),
 ]
 
+# the same two requests through `certify`, which now takes t from the
+# radius-1 ball and g as two conjugates of t
+GOLDEN_SHORT_CERTIFICATES = {
+    "Q": "a13b9313d7cfbaf954aa0b4c5aef1e7625d6a2f6bc5e65d69f3b3b3497fa71d0",
+    "Fp:101": "bba610a9261a7d8538c958e9d7c92e6bf9fd7a71035fb1dd6d564f46d8f7578b",
+}
 
-@pytest.mark.parametrize("field_arg,entries,digest", GOLDEN_CERTIFICATES, ids=["Q", "F101"])
-def test_certify_output_is_byte_identical_to_golden(tmp_path, capsys, field_arg, entries, digest):
+
+def golden_request(tmp_path, field_arg, entries):
     field = QQ if field_arg == "Q" else GF(int(field_arg.split(":")[1]))
     n = len(entries)
-    kind = field.to_json()
-    tgt = write_json(tmp_path / "g.json", {"n": n, "field": kind, "entries": entries})
-    xs = write_json(tmp_path / "x.json", [matrix_to_json(elementary(field, n, 1, 2, 1))])
+    g = {"n": n, "field": field.to_json(), "entries": entries}
+    xs = [matrix_to_json(elementary(field, n, 1, 2, 1))]
+    return n, g, xs, write_json(tmp_path / "g.json", g), write_json(tmp_path / "x.json", xs)
+
+
+@pytest.mark.parametrize("field_arg,entries,digest", GOLDEN_CERTIFICATES, ids=["Q", "F101"])
+def test_certify_output_is_byte_identical_to_golden(tmp_path, monkeypatch, field_arg, entries, digest):
+    # the paper's route: t from the ball of radius n - 1, the seven-block middle level
+    n, g, xs, _, _ = golden_request(tmp_path, field_arg, entries)
+    X = GeneratingSet.of(matrix_from_json(x) for x in xs)
+    rng = Random(5)
+    monkeypatch.setattr(decompose, "smallest_radius", lambda X: X.n - 1)
+    t, t_cert = find_regular_in_ball(X, rng)
+    mid = decompose_as_conjugates_of(matrix_from_json(g), t, rng)
+    cert = substitute_certificate(mid, t_cert).with_meta(seed=5, bound_claimed=56 * (n - 1))
+    out = _dumps(certificate_to_json(cert))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("field_arg,entries,digest", GOLDEN_CERTIFICATES, ids=["Q", "F101"])
+def test_certify_output_is_byte_identical_to_short_golden(tmp_path, capsys, field_arg, entries, digest):
+    n, _, _, tgt, xs = golden_request(tmp_path, field_arg, entries)
     code, stdout, _ = run_cli(
         ["certify", "--field", field_arg, "--n", str(n), "--target", tgt, "--genset", xs,
          "--seed", "5"],
         capsys,
     )
     assert code == 0
-    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+    assert json.loads(stdout)["meta"]["length"] == 8
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHORT_CERTIFICATES[field_arg]
+
+
+def test_certify_summary_names_route_radius_and_attempts(tmp_path, capsys):
+    n, _, _, tgt, xs = golden_request(tmp_path, *GOLDEN_CERTIFICATES[0][:2])
+    code, _, stderr = run_cli(
+        ["certify", "--field", "Q", "--n", str(n), "--target", tgt, "--genset", xs, "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    assert "certificate length 8 (claimed bound 112)" in stderr
+    assert "route two-letter" in stderr
+    assert "t at radius 1 after 5 samples (3 outside the open cell" in stderr
+    assert "basis search 2 attempts" in stderr
+
+
+def test_certify_mismatch_is_exit_1(tmp_path, target_file, genset_file, capsys, monkeypatch):
+    # a builder that drops a letter must be caught by the final exact check
+    real = decompose.substitute_certificate
+
+    def drop_last_letter(outer, inner):
+        cert = real(outer, inner)
+        return replace(cert, word=cert.word[:-1])
+
+    monkeypatch.setattr(decompose, "substitute_certificate", drop_last_letter)
+    code, stdout, stderr = run_cli(
+        ["certify", "--field", "Q", "--n", "2", "--target", target_file, "--genset", genset_file,
+         "--seed", "3"],
+        capsys,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error:") and "Traceback" not in stderr
+
+
+def test_certify_then_verify_under_python_O(tmp_path, target_file, genset_file):
+    # the final check is explicit code, not an assert, so -O keeps it
+    out = str(tmp_path / "cert.json")
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "slword", "certify", "--field", "Q", "--n", "2",
+         "--target", target_file, "--genset", genset_file, "--seed", "9", "--out", out],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    v = subprocess.run([sys.executable, "-O", "-m", "slword", "verify", out],
+                       capture_output=True, text=True)
+    assert v.returncode == 0, v.stderr
+    assert "OK" in v.stderr
 
 
 def test_bruhat_report(tmp_path, capsys):
