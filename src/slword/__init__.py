@@ -40,14 +40,11 @@ from .decompose import (
 from .fields import GF, QQ, Field, Fp, Scalar
 from .matrix import (
     SLMatrix,
-    char_poly,
     commutator,
     conjugate,
-    has_distinct_eigenvalues_in_field,
     is_central,
     is_diagonal,
     is_lower_unitriangular,
-    is_regular_semisimple,
     is_upper_triangular,
     is_upper_unitriangular,
     leading_principal_minors,

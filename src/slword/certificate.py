@@ -51,9 +51,6 @@ class Certificate:
     def length(self) -> int:
         return len(self.word)
 
-    def with_meta(self, seed: int | None = None, bound_claimed: int | None = None) -> "Certificate":
-        return replace(self, seed=seed, bound_claimed=bound_claimed)
-
 
 def _check_well_formed(cert: Certificate):
     mats = [cert.target, *cert.base] + [l.conjugator for l in cert.word]
@@ -182,8 +179,10 @@ def certificate_from_json(d: dict) -> Certificate:
             for l in d["word"]
         )
         meta = d.get("meta", {})
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"certificate meta must be a JSON object, not {type(meta).__name__}")
     cert = Certificate(
         field=field,
         n=n,

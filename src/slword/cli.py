@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from random import Random
 
 from .bruhat import SearchBudgetExceeded, big_cell_decompose, bruhat_decompose
@@ -73,12 +74,12 @@ def cmd_certify(args) -> int:
     rng = Random(seed)
     if args.generator:
         t = matrix_from_json(_load_json(args.generator))
-        cert = decompose_via_sourour(target, t, rng, args.budget).with_meta(
-            seed=seed, bound_claimed=14
-        )
+        cert = replace(decompose_via_sourour(target, t, rng, args.budget), seed=seed, bound_claimed=14)
     else:
         raw = _load_json(args.genset)
         mats = raw["matrices"] if isinstance(raw, dict) else raw
+        if not isinstance(mats, list):
+            raise ValueError(f"--genset must hold a JSON list of matrices, not {type(mats).__name__}")
         X = GeneratingSet.of(matrix_from_json(m) for m in mats)
         cert = decompose_full(target, X, rng, args.budget, seed=seed)
     out = _dumps(certificate_to_json(cert))

@@ -337,7 +337,7 @@ def _two_letter_word(g: SLMatrix, t: SLMatrix, rng: Random) -> tuple[tuple, int]
     """(word, attempts): g = (c_1 t c_1^-1)(c_2 t^-1 c_2^-1) for a non-central
     g, or an empty word if the basis search failed."""
     field, n = g.field, g.n
-    d = [t.rows[i][i] for i in range(n)]
+    d = [row[i] for i, row in enumerate(t.rows)]
     beta = d[::-1]
     gamma = [1 / x for x in d]
     s, attempts = _sourour_basis(g, [b * c for b, c in zip(beta, gamma)], rng)
@@ -503,7 +503,6 @@ def find_regular_in_ball(
         if not all(diag[i] != diag[j] for i in range(n) for j in range(i + 1, n)):
             rejected += 2
             continue
-        _require_regular_borel(t)
         stats = {"radius": r, "samples": attempts, "cell_misses": misses,
                  "diagonal_retries": rejected // 2}
         return t, Certificate(field=field, n=n, target=t, base=X.elements, word=word,

@@ -152,14 +152,6 @@ class Field:
             raise ValueError(f"modulus must be prime, got {self.p}")
 
     @property
-    def is_rationals(self) -> bool:
-        return self.p is None
-
-    @property
-    def char(self) -> int:
-        return 0 if self.p is None else self.p
-
-    @property
     def zero(self) -> Scalar:
         return Fraction(0) if self.p is None else Fp(0, self.p)
 

@@ -2,8 +2,11 @@
 builds on.
 
 An :class:`SLMatrix` is an immutable n-by-n matrix with determinant exactly
-1; the determinant is checked on every construction, so a value that exists
-is a group element.
+1.  The determinant is checked once, where a matrix is built from entries
+(``SLMatrix(field, rows)``, ``SLMatrix.diagonal`` and every JSON matrix).
+Products, inverses and the identity are built from checked matrices by the
+int kernels below and inherit determinant 1 without a second check, so a
+value that exists is a group element.
 
 Representation: the n*n entries are plain ints, row-major in one flat tuple
 ``entries``, over one positive common denominator ``den``; entry (i, j) is
@@ -57,13 +60,16 @@ class SLMatrix:
         else:
             den = 1
             entries = tuple(v.val for v in vals)
-        _require_det_one(field, n, entries, den)
+        d = _det_scalar(field, n, entries, den)
+        if d != field.one:
+            raise ValueError(f"determinant must be 1, got {field.format(d)}")
         self.field, self.n, self.entries, self.den = field, n, entries, den
 
     @classmethod
     def _wrap(cls, field: Field, n: int, entries: tuple, den: int) -> "SLMatrix":
-        # entries/den must already be canonical; the determinant check still runs
-        _require_det_one(field, n, entries, den)
+        # entries/den must be canonical and of determinant 1: the identity, or
+        # a product or inverse of checked matrices, which the kernels compute
+        # exactly (tests/test_kernel.py pins them against the scalar reference)
         out = cls.__new__(cls)
         out.field, out.n, out.entries, out.den = field, n, entries, den
         return out
@@ -136,10 +142,6 @@ class SLMatrix:
 
     def __hash__(self):
         return hash((self.field.p, self.n, self.den, self.entries))
-
-    def key(self) -> tuple:
-        """Canonical hashable key: field, size, denominator and flat entries."""
-        return (self.field.p, self.n, self.den) + self.entries
 
     def __repr__(self):
         n, body = self.n, _entry_strings(self)
@@ -300,17 +302,12 @@ def _det_scalar(field: Field, n: int, entries: tuple, den: int) -> Scalar:
     return Fp(_det_mod(entries, n, field.p), field.p)
 
 
-def _require_det_one(field: Field, n: int, entries: tuple, den: int) -> None:
-    d = _det_scalar(field, n, entries, den)
-    if d != field.one:
-        raise ValueError(f"determinant must be 1, got {field.format(d)}")
-
-
 def mat_product(mats: Iterable[SLMatrix]) -> SLMatrix:
     """Product of a nonempty sequence of matrices, left to right.
 
-    The chain is accumulated on flat ints, so only the final result is built
-    as a matrix and pays the construction-time determinant check.
+    The chain is accumulated on flat ints and only the final result is built
+    as a matrix; a product of determinant-1 matrices needs no determinant
+    check.
     """
     mats = list(mats)
     if not mats:
@@ -380,141 +377,6 @@ def leading_principal_minors(g: SLMatrix) -> list:
     ]
 
 
-# characteristic polynomial and eigenvalue tests
-#
-# Polynomials are plain coefficient lists, leading coefficient first.
-
-def char_poly(g: SLMatrix) -> list:
-    """Coefficients of det(xI - g), monic, leading coefficient first.
-
-    Samuelson-Berkowitz: iterate over leading principal blocks, extending the
-    characteristic polynomial by one truncated convolution per step.  No
-    divisions, so valid over any field including small characteristic.
-    """
-    a = g.rows
-    one = g.field.one
-    c = [one, -a[0][0]]
-    for r in range(1, g.n):
-        row = a[r][:r]
-        vec = [a[i][r] for i in range(r)]
-        s = []
-        for i in range(r):
-            s.append(sum((row[k] * vec[k] for k in range(r)), g.field.zero))
-            if i < r - 1:
-                vec = [
-                    sum((a[x][k] * vec[k] for k in range(r)), g.field.zero)
-                    for x in range(r)
-                ]
-        t0 = [one, -a[r][r]] + [-si for si in s]
-        c = [
-            sum(
-                (t0[k - j] * c[j] for j in range(len(c)) if 0 <= k - j < len(t0)),
-                g.field.zero,
-            )
-            for k in range(r + 2)
-        ]
-    return c
-
-
-def _poly_trim(p):
-    i = 0
-    while i < len(p) - 1 and not p[i]:
-        i += 1
-    return p[i:]
-
-
-def _poly_deriv(p, field: Field):
-    n = len(p) - 1
-    if n == 0:
-        return [field.zero]
-    return _poly_trim([p[i] * (n - i) for i in range(n)])
-
-
-def _poly_mod(a, b):
-    a, b = list(_poly_trim(a)), _poly_trim(b)
-    lead = b[0]
-    while len(a) >= len(b) and any(a):
-        f = a[0] / lead
-        for i in range(len(b)):
-            a[i] = a[i] - f * b[i]
-        a = list(_poly_trim(a))  # a[0] is now exactly zero, so this shortens a
-    return a
-
-
-def _poly_gcd(a, b):
-    a, b = list(_poly_trim(a)), list(_poly_trim(b))
-    while any(b):
-        a, b = b, _poly_mod(a, b)
-    lead = a[0]
-    return [x / lead for x in a]
-
-
-def poly_eval(p, x: Scalar) -> Scalar:
-    acc = p[0]
-    for c in p[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def is_regular_semisimple(g: SLMatrix) -> bool:
-    """True iff the characteristic polynomial is squarefree, i.e. g has
-    distinct eigenvalues over the algebraic closure."""
-    f = char_poly(g)
-    df = _poly_deriv(f, g.field)
-    return len(_poly_gcd(f, df)) == 1
-
-
-def _divisors(m: int) -> list[int]:
-    m = abs(m)
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
-def has_distinct_eigenvalues_in_field(g: SLMatrix) -> bool:
-    """True iff the characteristic polynomial has n distinct roots in the
-    base field, so that g is conjugate to a diagonal matrix over that field.
-
-    Over F_p this needs n distinct nonzero residues, which is impossible for
-    p <= n; such calls raise ``ValueError``.  Over the rationals the roots are
-    found exactly via the rational root bound.
-    """
-    field, n = g.field, g.n
-    if field.p is not None and field.p <= n:
-        raise ValueError(f"F_{field.p} cannot contain {n} distinct eigenvalues of a determinant-1 matrix")
-    f = char_poly(g)
-    if field.p is not None:
-        found = sum(1 for v in range(field.p) if not poly_eval(f, Fp(v, field.p)))
-        return found == n
-    # Clear denominators; candidate roots a/b need a | constant and b | leading.
-    den = 1
-    for c in f:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    ints = [int(c * den) for c in f]
-    lead, const = ints[0], ints[-1]
-    if const == 0:
-        return False  # 0 is never an eigenvalue of a determinant-1 matrix
-    roots = set()
-    for a in _divisors(const):
-        for b in _divisors(lead):
-            for cand in (Fraction(a, b), Fraction(-a, b)):
-                if cand not in roots and not poly_eval(f, cand):
-                    roots.add(cand)
-    return len(roots) == n
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # JSON encoding
 
 def _entry_strings(g: SLMatrix) -> list[str]:
@@ -544,10 +406,10 @@ def matrix_from_json(d: dict) -> SLMatrix:
         field = Field.from_json(d["field"])
         n = int(d["n"])
         entries = d["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise ValueError("matrix JSON entries must be a list of rows")
     if len(entries) != n or any(len(r) != n for r in entries):
         raise ValueError(f"matrix JSON claims n={n} but entries are {len(entries)} rows")
-    return SLMatrix(field, [[field.parse(str(e)) for e in row] for row in entries])
+    return SLMatrix(field, [[str(e) for e in row] for row in entries])

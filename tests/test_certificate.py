@@ -79,7 +79,7 @@ def test_conjugating_a_certificate_preserves_length_and_validity():
 
 
 def test_json_round_trip():
-    cert = worked_certificate().with_meta(seed=7, bound_claimed=2)
+    cert = replace(worked_certificate(), seed=7, bound_claimed=2)
     d = certificate_to_json(cert)
     back = certificate_from_json(d)
     assert back == cert

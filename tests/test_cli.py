@@ -107,6 +107,50 @@ def test_verify_malformed_is_exit_3(tmp_path, capsys):
     assert run_cli(["verify", bad], capsys)[0] == 3
 
 
+def test_verify_meta_not_an_object_is_exit_3(tmp_path, target_file, generator_file, capsys):
+    out = str(tmp_path / "cert.json")
+    run_cli(["certify", "--field", "Q", "--n", "2", "--target", target_file,
+             "--generator", generator_file, "--out", out], capsys)
+    cert = json.loads(open(out).read())
+    cert["meta"] = [1]
+    code, _, stderr = run_cli(["verify", write_json(tmp_path / "bad.json", cert)], capsys)
+    assert code == 3
+    assert stderr.startswith("error:") and "meta" in stderr
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "F101"])
+@pytest.mark.parametrize("where", ["target", "base", "conjugator"])
+def test_verify_rejects_a_matrix_of_determinant_not_1(tmp_path, capsys, field, where):
+    # products and inverses are not re-checked, so every matrix a certificate
+    # brings in must be checked where it is parsed: exit 3, not 0 or 1
+    field_arg = "Q" if field.p is None else f"Fp:{field.p}"
+    tgt = write_json(tmp_path / "g.json", matrix_to_json(SLMatrix(field, [[1, 2], [1, 3]])))
+    xs = write_json(tmp_path / "x.json", [matrix_to_json(SLMatrix.diagonal(field, [2, field.one / 2]))])
+    out = str(tmp_path / "cert.json")
+    code, _, _ = run_cli(["certify", "--field", field_arg, "--n", "2", "--target", tgt,
+                          "--genset", xs, "--seed", "1", "--out", out], capsys)
+    assert code == 0
+    cert = json.loads(open(out).read())
+    m = {"target": cert["target"], "base": cert["base"][0],
+         "conjugator": cert["word"][0]["conjugator"]}[where]
+    m["entries"][0] = [str(2 * Fraction(e)) for e in m["entries"][0]]  # determinant 2
+    code, stdout, stderr = run_cli(["verify", write_json(tmp_path / "bad.json", cert)], capsys)
+    assert code == 3
+    assert stdout == ""
+    assert "determinant must be 1" in stderr
+
+
+@pytest.mark.parametrize("genset", [5, {"matrices": 5}], ids=["number", "matrices-number"])
+def test_certify_genset_not_a_list_is_exit_3(tmp_path, target_file, capsys, genset):
+    code, _, stderr = run_cli(
+        ["certify", "--field", "Q", "--n", "2", "--target", target_file,
+         "--genset", write_json(tmp_path / "x.json", genset)],
+        capsys,
+    )
+    assert code == 3
+    assert stderr.startswith("error:") and "Traceback" not in stderr
+
+
 def test_certify_identity_target_is_empty_certificate(tmp_path, generator_file, capsys):
     ident = write_json(tmp_path / "i.json", matrix_to_json(SLMatrix.identity(QQ, 2)))
     out = str(tmp_path / "cert.json")
@@ -311,7 +355,7 @@ def test_certify_output_is_byte_identical_to_golden(tmp_path, monkeypatch, field
     monkeypatch.setattr(decompose, "smallest_radius", lambda X: X.n - 1)
     t, t_cert = find_regular_in_ball(X, rng)
     mid = decompose_as_conjugates_of(matrix_from_json(g), t, rng)
-    cert = substitute_certificate(mid, t_cert).with_meta(seed=5, bound_claimed=56 * (n - 1))
+    cert = replace(substitute_certificate(mid, t_cert), seed=5, bound_claimed=56 * (n - 1))
     out = _dumps(certificate_to_json(cert))
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -361,7 +405,7 @@ def test_certify_mismatch_is_exit_1(tmp_path, target_file, genset_file, capsys, 
     assert stderr.startswith("error:") and "Traceback" not in stderr
 
 
-def test_certify_then_verify_under_python_O(tmp_path, target_file, genset_file):
+def test_certify_then_verify_under_python_O(tmp_path, target_file, genset_file, subprocess_env):
     # the final check is explicit code, not an assert, so -O keeps it
     out = str(tmp_path / "cert.json")
     r = subprocess.run(
@@ -369,10 +413,11 @@ def test_certify_then_verify_under_python_O(tmp_path, target_file, genset_file):
          "--target", target_file, "--genset", genset_file, "--seed", "9", "--out", out],
         capture_output=True,
         text=True,
+        env=subprocess_env,
     )
     assert r.returncode == 0, r.stderr
     v = subprocess.run([sys.executable, "-O", "-m", "slword", "verify", out],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=subprocess_env)
     assert v.returncode == 0, v.stderr
     assert "OK" in v.stderr
 
@@ -456,14 +501,16 @@ def test_seed_env_var_fallback(tmp_path, target_file, genset_file, capsys, monke
     assert out_env == out_flag
 
 
-def test_fresh_process_round_trip(tmp_path, target_file, generator_file):
+def test_fresh_process_round_trip(tmp_path, target_file, generator_file, subprocess_env):
     out = str(tmp_path / "cert.json")
     r = subprocess.run(
         [sys.executable, "-m", "slword", "certify", "--field", "Q", "--n", "2",
          "--target", target_file, "--generator", generator_file, "--seed", "42", "--out", out],
         capture_output=True,
         text=True,
+        env=subprocess_env,
     )
     assert r.returncode == 0, r.stderr
-    v = subprocess.run([sys.executable, "-m", "slword", "verify", out], capture_output=True)
+    v = subprocess.run([sys.executable, "-m", "slword", "verify", out], capture_output=True,
+                       env=subprocess_env)
     assert v.returncode == 0

@@ -384,6 +384,6 @@ def test_require_valid_raises_on_a_wrong_word_or_length():
     cert = decompose_full(g, X, Random(5), seed=5)
     assert require_valid(cert) is cert
     with pytest.raises(CertificateMismatch):
-        require_valid(cert.with_meta(seed=5, bound_claimed=cert.length - 1))
+        require_valid(replace(cert, bound_claimed=cert.length - 1))
     with pytest.raises(CertificateMismatch):
         require_valid(replace(cert, word=cert.word[1:]))

@@ -9,12 +9,9 @@ from slword import (
     GF,
     QQ,
     SLMatrix,
-    char_poly,
     commutator,
     conjugate,
-    has_distinct_eigenvalues_in_field,
     is_central,
-    is_regular_semisimple,
     leading_principal_minors,
     mat_product,
     matrix_from_json,
@@ -27,7 +24,7 @@ def sl2_strategy(field):
     """Random SL_2 elements as products of a few elementary matrices."""
     scalar = (
         st.fractions(min_value=-5, max_value=5, max_denominator=3)
-        if field.is_rationals
+        if field.p is None
         else st.integers(min_value=0, max_value=field.p - 1).map(field.scalar)
     )
     factor = st.tuples(st.sampled_from([(1, 2), (2, 1)]), scalar).map(
@@ -90,70 +87,6 @@ def test_conjugate_and_commutator():
     d = SLMatrix.diagonal(QQ, [2, Fraction(1, 2)])
     direct = mat_product([e, d, e.inverse(), d.inverse()])
     assert commutator(e, d) == direct == elementary(QQ, 2, 1, 2, -3)
-
-
-def test_char_poly_examples():
-    d = SLMatrix.diagonal(QQ, [2, Fraction(1, 2)])
-    assert char_poly(d) == [Fraction(1), Fraction(-5, 2), Fraction(1)]
-    assert is_regular_semisimple(d)
-    assert has_distinct_eigenvalues_in_field(d)
-
-    e = elementary(QQ, 2, 1, 2, 1)
-    assert char_poly(e) == [Fraction(1), Fraction(-2), Fraction(1)]  # (x-1)^2
-    assert not is_regular_semisimple(e)
-
-    rot = SLMatrix(QQ, [[0, 1], [-1, 0]])
-    assert char_poly(rot) == [Fraction(1), Fraction(0), Fraction(1)]  # x^2 + 1
-    assert is_regular_semisimple(rot)
-    assert not has_distinct_eigenvalues_in_field(rot)
-
-
-def test_char_poly_of_triangular_is_product_of_linear_factors():
-    # independent oracle: multiply out prod (x - d_i) by convolution
-    t = SLMatrix(QQ, [[2, 5, -1], [0, -3, 7], [0, 0, Fraction(-1, 6)]])
-    poly = [Fraction(1)]
-    for i in range(3):
-        d = t.rows[i][i]
-        new = [Fraction(0)] * (len(poly) + 1)
-        for k, c in enumerate(poly):
-            new[k] += c
-            new[k + 1] -= c * d
-        poly = new
-    assert char_poly(t) == poly
-
-
-@settings(max_examples=30)
-@given(sl2_strategy(QQ), sl2_strategy(QQ))
-def test_char_poly_conjugation_invariant(g, c):
-    assert char_poly(conjugate(g, c)) == char_poly(g)
-
-
-@settings(max_examples=30)
-@given(sl2_strategy(GF(7)))
-def test_cayley_hamilton(g):
-    # evaluate the characteristic polynomial at g itself, on raw entries
-    f = char_poly(g)
-    field = g.field
-    acc = [[field.zero] * 2 for _ in range(2)]
-    power = [[field.one if i == j else field.zero for j in range(2)] for i in range(2)]
-    for c in reversed(f):
-        for i in range(2):
-            for j in range(2):
-                acc[i][j] = acc[i][j] + c * power[i][j]
-        power = [
-            [sum((g.rows[i][k] * power[k][j] for k in range(2)), field.zero) for j in range(2)]
-            for i in range(2)
-        ]
-    assert all(not acc[i][j] for i in range(2) for j in range(2))
-
-
-def test_distinct_eigenvalues_needs_big_enough_prime():
-    g = SLMatrix.identity(GF(2), 2)
-    with pytest.raises(ValueError):
-        has_distinct_eigenvalues_in_field(g)
-    # fine when p > n
-    assert has_distinct_eigenvalues_in_field(SLMatrix.diagonal(GF(5), [2, 3]))
-    assert not has_distinct_eigenvalues_in_field(SLMatrix.identity(GF(5), 2))
 
 
 def test_is_central():
@@ -251,6 +184,8 @@ def test_json_rejects_bad_input():
         matrix_from_json({"n": 3, "field": {"kind": "Q"}, "entries": [["1", "0"], ["0", "1"]]})
     with pytest.raises(ValueError):
         matrix_from_json({"field": {"kind": "Q"}})
+    with pytest.raises(ValueError):
+        matrix_from_json({"n": float("inf"), "field": {"kind": "Q"}, "entries": [["1", "0"], ["0", "1"]]})
     for entries in (5, "ab", {"a": 1, "b": 2}, ["12", "34"], [["1", "0"], ["0", "1/0"]]):
         with pytest.raises(ValueError):
             matrix_from_json({"n": 2, "field": {"kind": "Q"}, "entries": entries})

@@ -59,9 +59,9 @@ def test_coroot_product_map_is_injective(rng):
         coords = tuple(QQ.random_nonzero(rng, 4) for _ in range(3))
         t = mat_product([coroot(QQ, 4, i + 1, a) for i, a in enumerate(coords)])
         assert is_diagonal(t)
-        if t.key() in seen:
-            assert seen[t.key()] == coords
-        seen[t.key()] = coords
+        if t in seen:
+            assert seen[t] == coords
+        seen[t] = coords
 
 
 def test_simple_reflection_shape():
