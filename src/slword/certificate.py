@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
 
-from .fields import Field
+from .fields import Field, json_int
 from .matrix import SLMatrix, mat_product, matrix_from_json, matrix_to_json
 
 
@@ -171,15 +171,16 @@ def certificate_to_json(cert: Certificate) -> dict:
 def certificate_from_json(d: dict) -> Certificate:
     try:
         field = Field.from_json(d["field"])
-        n = int(d["n"])
+        n = json_int(d["n"], "certificate n")
         target = matrix_from_json(d["target"])
         base = tuple(matrix_from_json(b) for b in d["base"])
         word = tuple(
-            Letter(matrix_from_json(l["conjugator"]), int(l["base"]), int(l["exponent"]))
+            Letter(matrix_from_json(l["conjugator"]), json_int(l["base"], "letter base"),
+                   json_int(l["exponent"], "letter exponent"))
             for l in d["word"]
         )
         meta = d.get("meta", {})
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"certificate meta must be a JSON object, not {type(meta).__name__}")

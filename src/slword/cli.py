@@ -36,7 +36,6 @@ from .oracle import (
     delta,
     enumerate_group,
     norm_ball_table,
-    normally_generates,
     transvection_diameter,
 )
 
@@ -157,6 +156,10 @@ def _classes_summary(table) -> list[dict]:
 
 
 def cmd_oracle(args) -> int:
+    if args.action == "transvection":
+        # transvection_diameter enumerates the group itself
+        sys.stdout.write(_dumps(transvection_diameter(args.n, args.p, args.cap)))
+        return 0
     table = enumerate_group(args.n, args.p, args.cap)
     base = {
         "group": f"SL({args.n},{args.p})",
@@ -169,17 +172,14 @@ def cmd_oracle(args) -> int:
             class_ids = tuple(int(c) for c in args.classes.split(","))
         else:
             class_ids = tuple(range(len(table.classes)))
-        if normally_generates(table, class_ids):
-            diam = norm_ball_table(table, class_ids).diameter
-        else:
-            diam = None
+        diam = norm_ball_table(table, class_ids).diameter
         report = dict(
             base,
             results=[{"classSet": list(class_ids), "generates": diam is not None, "diameter": diam}],
             delta=None,
             delta_k=None,
         )
-    elif args.action == "delta":
+    else:  # delta
         rep = delta(table, max_classes=args.max_classes, subset_cap=args.subset_cap)
         report = dict(
             base,
@@ -191,8 +191,6 @@ def cmd_oracle(args) -> int:
             delta_k=rep.delta_k,
             witnesses=[list(w) for w in rep.witnesses],
         )
-    else:  # transvection
-        report = transvection_diameter(args.n, args.p, args.cap)
     sys.stdout.write(_dumps(report))
     return 0
 

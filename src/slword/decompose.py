@@ -33,12 +33,13 @@ The pipeline, bottom to top:
 
 - ``find_regular_in_ball``: given a normal generating set X, sample products
   of r commutator pairs (2r letters each, so certified ball elements) until
-  two of them land in the open Bruhat cell; after conjugating them to the
-  forms x * n_0 and n_0 * x_1, t = x * n_0^2 * x_1 is upper triangular with
-  a certificate of length at most 4r, and it is retried until its diagonal
-  is pairwise distinct.  The radius is 1 when the rank bound of
-  ``smallest_radius`` lets a ball of radius 1 reach the open cell, and n - 1
-  otherwise or after a fixed run of misses at radius 1.
+  two samples s land in the open Bruhat cell, read off the big-cell
+  factorization of n_0^-1 s; conjugated to the forms x * n_0 and n_0 * x_1,
+  they give t = x * n_0^2 * x_1, upper triangular with a certificate of
+  length at most 4r, retried until its diagonal is pairwise distinct.  The
+  radius is 1 when the rank bound of ``smallest_radius`` lets a ball of
+  radius 1 reach the open cell, and n - 1 otherwise or after a fixed run of
+  misses at radius 1.
 
 - ``decompose_full``: t from the ball, g over t by ``decompose_via_sourour``,
   every t^{+-1} letter expanded through t's own certificate: at most
@@ -57,7 +58,7 @@ from dataclasses import dataclass, replace
 from operator import mul
 from random import Random
 
-from .bruhat import SearchBudgetExceeded, big_cell_decompose, bruhat_decompose, split_over_big_cell
+from .bruhat import SearchBudgetExceeded, big_cell_decompose, split_over_big_cell
 from .certificate import (
     Certificate,
     Letter,
@@ -72,7 +73,7 @@ from .matrix import (
     is_upper_unitriangular,
     mat_product,
 )
-from .rootdata import elementary, longest_element_rep, longest_perm
+from .rootdata import elementary, longest_element_rep
 from .torus import torus_factor
 from .unipotent import _require_regular_borel, diagonalize_in_borel, unipotent_as_two_conjugates
 
@@ -120,17 +121,21 @@ class GeneratingSet:
 
 
 def random_sl(field: Field, n: int, rng: Random, factors: int | None = None, bound: int = 2) -> SLMatrix:
-    """Random SL_n element: a product of random elementary matrices."""
+    """Random SL_n element: a product of ``factors`` random elementary
+    matrices (n + 2 by default, the identity for none), applied as column
+    operations on one identity: M E_ij(x) adds x times column i to column j."""
     if factors is None:
         factors = n + 2
-    mats = []
+    rows = [[field.one if r == c else field.zero for c in range(n)] for r in range(n)]
     for _ in range(factors):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
         if i == j:
             j = i % n + 1
-        mats.append(elementary(field, n, i, j, field.random_nonzero(rng, bound)))
-    return mat_product(mats)
+        x = field.random_nonzero(rng, bound)
+        for row in rows:
+            row[j - 1] += x * row[i - 1]
+    return SLMatrix(field, rows)
 
 
 def random_sl_bounded(field: Field, n: int, rng: Random, bound: int = 10, tries: int = 10_000) -> SLMatrix:
@@ -455,6 +460,10 @@ def find_regular_in_ball(
     X: t = x * n_0^2 * x_1 built from two certified open-cell samples of r
     commutator pairs each.
 
+    A sample s is in the open cell B n_0 B = n_0 U- T U exactly when
+    ``big_cell_decompose(n_0^-1 s)`` is not None, and its factors L, D, U
+    give the unique s = u n_0 b with u = n_0 L n_0^-1 and b = D U.
+
     The radius r is 1 when ``smallest_radius(X)`` is 1, and n - 1, the
     paper's radius, otherwise: the rank bound is necessary, not sufficient,
     and at F_101 n = 8 the radius-2 ball it allows never met the open cell
@@ -476,14 +485,15 @@ def find_regular_in_ball(
             f"diagonal entries; the regular-element search needs p > {n + 1}"
         )
     r = first = 1 if smallest_radius(X) == 1 else n - 1
-    w0 = longest_perm(n)
+    n0 = longest_element_rep(field, n)
+    n0i = n0.inverse()
     attempts = misses = run = rejected = 0
     left = None  # an open-cell sample of the form x * n_0, awaiting its partner
     while attempts < budget:
         attempts += 1
         cert = _sample_ball_element(X, rng, r)
-        bf = bruhat_decompose(cert.target)
-        if bf.w != w0:
+        cell = big_cell_decompose(n0i * cert.target)
+        if cell is None:
             misses += 1
             run += 1
             if run == MISSES_AT_RADIUS_1:
@@ -492,10 +502,10 @@ def find_regular_in_ball(
         run = 0
         if left is None:
             # b (u n_0 b) b^-1 = (b u) n_0
-            left = conjugate_certificate(cert, bf.b)
+            left = conjugate_certificate(cert, cell.diag * cell.upper)
             continue
-        # u^-1 (u n_0 b) u = n_0 (b u)
-        right = conjugate_certificate(cert, bf.u.inverse())
+        # u^-1 (u n_0 b) u = n_0 (b u), with u^-1 = n_0 L^-1 n_0^-1
+        right = conjugate_certificate(cert, mat_product([n0, cell.lower.inverse(), n0i]))
         t = left.target * right.target
         word = left.word + right.word
         left = None

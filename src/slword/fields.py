@@ -22,17 +22,42 @@ from random import Random
 from typing import Union
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below MODULUS_LIMIT, the least strong pseudoprime to all of them (J. Sorenson
+# and J. Webster, "Strong pseudoprimes to twelve prime bases", 2015); a
+# modulus at or above it is rejected rather than guessed at
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Primality of 0 <= p < MODULUS_LIMIT, by deterministic Miller-Rabin."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def json_int(v, what: str) -> int:
+    """``v`` if it is a JSON integer; booleans and floats are not."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {v!r}")
+    return v
 
 
 class Fp:
@@ -148,7 +173,11 @@ class Field:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is None:
+            return
+        if self.p >= MODULUS_LIMIT:
+            raise ValueError(f"modulus must be below {MODULUS_LIMIT}, got {self.p}")
+        if not _is_prime(self.p):
             raise ValueError(f"modulus must be prime, got {self.p}")
 
     @property
@@ -230,7 +259,7 @@ class Field:
         if kind == "Q":
             return QQ
         if kind == "Fp":
-            return cls(int(d["p"]))
+            return cls(json_int(d["p"], "field modulus p"))
         raise ValueError(f"unknown field kind {kind!r}")
 
     def __repr__(self):

@@ -39,7 +39,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .fields import Field, Fp, Scalar
+from .fields import Field, Fp, Scalar, json_int
 
 
 class SLMatrix:
@@ -404,9 +404,9 @@ def matrix_to_json(g: SLMatrix) -> dict:
 def matrix_from_json(d: dict) -> SLMatrix:
     try:
         field = Field.from_json(d["field"])
-        n = int(d["n"])
+        n = json_int(d["n"], "matrix n")
         entries = d["entries"]
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise ValueError("matrix JSON entries must be a list of rows")

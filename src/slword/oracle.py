@@ -12,10 +12,11 @@ set of a class selection is the union of the chosen classes and their inverse
 classes (a word may use conjugates of generators and of their inverses), and
 the norm of g is the least number of letters multiplying to g.  Because the
 letter set is closed under conjugation, ball(k+1) = ball(k) * letters, which
-is exactly the layered search ``norm_ball_table`` runs.  A second,
-deliberately different implementation (Bellman-style relaxation over the full
-multiplication table, ``norms_by_fixed_point``) exists purely to cross-check
-the first.
+is exactly the layered search ``norm_ball_table`` runs, once per class set:
+it gives the norms, whether the classes normally generate and the diameter.
+A second, deliberately different implementation (Bellman-style relaxation
+over the full multiplication table, ``norms_by_fixed_point``) exists purely
+to cross-check the first.
 
 Delta is computable for a finite group because a norm only depends on which
 conjugacy classes the generating set touches: the supremum over all finite
@@ -31,7 +32,7 @@ from itertools import combinations
 
 from .fields import GF
 from .matrix import SLMatrix, _det_mod, _inverse_mod, _mul_mod
-from .rootdata import elementary
+from .rootdata import elementary, standard_generators
 
 
 FINITE_FIELD_NOTE = (
@@ -85,12 +86,7 @@ class GroupTable:
 def enumerate_group(n: int, p: int, cap: int = 10**6) -> GroupTable:
     """Enumerate SL_n(F_p) by closure from the elementary generators
     E_{i,i+1}(1), E_{i+1,i}(1); raises GroupSizeCapExceeded past ``cap``."""
-    field = GF(p)
-    gens = []
-    for i in range(1, n):
-        for (a, b) in ((i, i + 1), (i + 1, i)):
-            g = elementary(field, n, a, b, 1)
-            gens.append(g.entries)
+    gens = [g.entries for g in standard_generators(GF(p), n)]
     ident = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
     elements = [ident]
@@ -180,8 +176,17 @@ def _letters(table: GroupTable, class_ids) -> list[int]:
     return out
 
 
-def _bfs_norms(table: GroupTable, class_ids) -> list[int]:
-    """Layered ball growth; norms[i] = -1 where the letters never reach."""
+@dataclass
+class NormTable:
+    class_ids: tuple[int, ...]
+    norms: list[int]  # -1 where the letters never reach
+    diameter: int | None  # None when the classes do not normally generate
+
+
+def norm_ball_table(table: GroupTable, class_ids) -> NormTable:
+    """Word norms over the chosen classes and their inverses, by layered ball
+    growth.  Total on class sets: the diameter is None when some element is
+    never reached; only an unknown class index raises ``ValueError``."""
     letters = [table.elements[i] for i in _letters(table, class_ids)]
     n, p = table.n, table.p
     norms = [-1] * table.order
@@ -199,29 +204,15 @@ def _bfs_norms(table: GroupTable, class_ids) -> list[int]:
                     norms[i] = dist
                     nxt.append(prod)
         frontier = nxt
-    return norms
+    diameter = None if -1 in norms else max(norms)
+    return NormTable(class_ids=tuple(sorted(set(class_ids))), norms=norms, diameter=diameter)
 
 
 def normally_generates(table: GroupTable, class_ids) -> bool:
     """True iff the chosen classes (with inverses) generate the whole group;
     as class unions are conjugation-closed, the subgroup they generate is
     normal and equals the normal closure."""
-    norms = _bfs_norms(table, class_ids)
-    return all(v >= 0 for v in norms)
-
-
-@dataclass
-class NormTable:
-    class_ids: tuple[int, ...]
-    norms: list[int]
-    diameter: int
-
-
-def norm_ball_table(table: GroupTable, class_ids) -> NormTable:
-    norms = _bfs_norms(table, class_ids)
-    if any(v < 0 for v in norms):
-        raise ValueError(f"classes {tuple(class_ids)} do not normally generate the group")
-    return NormTable(class_ids=tuple(sorted(set(class_ids))), norms=norms, diameter=max(norms))
+    return norm_ball_table(table, class_ids).diameter is not None
 
 
 def norms_by_fixed_point(table: GroupTable, class_ids) -> list[int]:
@@ -290,8 +281,7 @@ def delta(table: GroupTable, max_classes: int | None = None, subset_cap: int = 2
                 closure.add(table.class_inverse[c])
             key = tuple(sorted(closure))
             if key not in cache:
-                norms = _bfs_norms(table, key)
-                cache[key] = max(norms) if all(v >= 0 for v in norms) else None
+                cache[key] = norm_ball_table(table, key).diameter
             diam = cache[key]
             results.append(SubsetResult(class_ids=subset, generates=diam is not None, diameter=diam))
             if diam is None:
@@ -319,7 +309,7 @@ def transvection_diameter(n: int, p: int, cap: int = 10**6) -> dict:
         "order": table.order,
         "class": cls,
         "class_size": len(table.classes[cls]),
-        "generates": True,
+        "generates": norm.diameter is not None,
         "diameter": norm.diameter,
         "half_rank": (n - 1) / 2,
         "note": FINITE_FIELD_NOTE,

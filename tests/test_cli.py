@@ -16,6 +16,7 @@ from slword import (
     certificate_to_json,
     decompose,
     decompose_as_conjugates_of,
+    decompose_via_sourour,
     elementary,
     find_regular_in_ball,
     matrix_from_json,
@@ -116,6 +117,48 @@ def test_verify_meta_not_an_object_is_exit_3(tmp_path, target_file, generator_fi
     code, _, stderr = run_cli(["verify", write_json(tmp_path / "bad.json", cert)], capsys)
     assert code == 3
     assert stderr.startswith("error:") and "meta" in stderr
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [(("word", 0, "exponent"), 1.5), (("word", 0, "exponent"), "1"),
+     (("word", 0, "exponent"), True), (("word", 0, "base"), 0.9), (("n",), 2.5),
+     (("target", "n"), 2.0), (("field", "p"), 7.0)],
+    ids=["exponent-1.5", "exponent-str", "exponent-true", "base-0.9", "n-2.5", "target-n-2.0",
+         "p-7.0"],
+)
+def test_verify_rejects_integer_fields_that_are_not_json_integers(tmp_path, capsys, path, value):
+    # int() would truncate each of these to a value that makes the
+    # certificate verify; it must be exit 3 instead
+    g, t = SLMatrix(GF(7), [[1, 2], [1, 3]]), SLMatrix.diagonal(GF(7), [2, 4])
+    cert = certificate_to_json(decompose_via_sourour(g, t, Random(0)))
+    assert run_cli(["verify", write_json(tmp_path / "ok.json", cert)], capsys)[0] == 0
+    node = cert
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    code, _, stderr = run_cli(["verify", write_json(tmp_path / "bad.json", cert)], capsys)
+    assert code == 3
+    assert stderr.startswith("error:") and "JSON integer" in stderr
+
+
+def test_certify_and_verify_over_a_large_prime_field(tmp_path, subprocess_env):
+    # primality of the modulus by trial division would take minutes here
+    p, n = 10**18 + 3, 3
+    field = GF(p)
+    g = SLMatrix(field, [[1, 2, 0], [1, 3, 0], [0, 0, 1]])
+    tgt = write_json(tmp_path / "g.json", matrix_to_json(g))
+    xs = write_json(tmp_path / "x.json", [matrix_to_json(elementary(field, n, 1, 2, 1))])
+    out = str(tmp_path / "cert.json")
+    r = subprocess.run(
+        [sys.executable, "-m", "slword", "certify", "--field", f"Fp:{p}", "--n", str(n),
+         "--target", tgt, "--genset", xs, "--seed", "1", "--out", out],
+        capture_output=True, text=True, env=subprocess_env, timeout=20,
+    )
+    assert r.returncode == 0, r.stderr
+    v = subprocess.run([sys.executable, "-m", "slword", "verify", out],
+                       capture_output=True, text=True, env=subprocess_env, timeout=20)
+    assert v.returncode == 0, v.stderr
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "F101"])
@@ -479,6 +522,26 @@ def test_oracle_transvection_report(capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["order"] == 168 and report["diameter"] == 3
+
+
+# SHA-256 of the stdout of `oracle ...`, as written when each class set was
+# searched twice and `transvection` enumerated the group twice
+GOLDEN_ORACLE_REPORTS = [
+    ("diameter --n 2 --p 5", "1ac034bbcc347937779dab3c31d3ccc04f099a6f3523be9791645c3854d0d719"),
+    ("diameter --n 2 --p 3 --classes 3",
+     "6060a843b193393eec7e07ad783f582bac3a9f4866542edcd1ca5a01cf51a75a"),
+    ("delta --n 3 --p 2", "f6bd006ba3a67d1a59c4572c6ab5a3b037a84d0b921b567f29c1d0944f9ea6a8"),
+    ("transvection --n 3 --p 2",
+     "7fda2899daf68eb3e7afe7400b6490719e9464948d240f45090ce2b230810525"),
+]
+
+
+@pytest.mark.parametrize("request_args,digest", GOLDEN_ORACLE_REPORTS,
+                         ids=["diameter", "diameter-classes", "delta", "transvection"])
+def test_oracle_output_is_byte_identical_to_golden(capsys, request_args, digest):
+    code, stdout, _ = run_cli(["oracle", *request_args.split()], capsys)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_oracle_cap_exceeded_is_exit_4(capsys):

@@ -12,6 +12,8 @@ from slword import (
     CertificateMismatch,
     GeneratingSet,
     SLMatrix,
+    big_cell_decompose,
+    bruhat_decompose,
     conjugate_certificate,
     decompose,
     decompose_as_conjugates_of,
@@ -32,6 +34,7 @@ from slword import (
     smallest_radius,
     verify_certificate,
 )
+from slword.rootdata import longest_perm
 
 
 def blocks_product(blocks):
@@ -84,6 +87,80 @@ def test_random_sl_is_deterministic():
     a = random_sl(QQ, 3, Random(99))
     b = random_sl(QQ, 3, Random(99))
     assert a == b
+
+
+def random_sl_by_elementary_product(field, n, rng, factors=None, bound=2):
+    """The reference for random_sl: the same draws, in the same order, built
+    as elementary matrices and multiplied out by mat_product."""
+    mats = []
+    for _ in range(n + 2 if factors is None else factors):
+        i = rng.randrange(1, n + 1)
+        j = rng.randrange(1, n + 1)
+        if i == j:
+            j = i % n + 1
+        mats.append(elementary(field, n, i, j, field.random_nonzero(rng, bound)))
+    return mat_product(mats)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([QQ, GF(2), GF(5), GF(101)]),
+    st.integers(2, 6),
+    st.none() | st.integers(1, 20),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+def test_random_sl_is_the_product_of_its_elementary_draws(field, n, factors, bound, seed):
+    rng, ref_rng = Random(seed), Random(seed)
+    g = random_sl(field, n, rng, factors, bound)
+    assert g == random_sl_by_elementary_product(field, n, ref_rng, factors, bound)
+    assert rng.random() == ref_rng.random()  # and it consumed the same draws
+
+
+def test_random_sl_of_no_factors_is_the_identity():
+    for field in (QQ, GF(7)):
+        assert random_sl(field, 3, Random(1), factors=0).is_identity()
+
+
+def random_triangular(field, n, rng, unit):
+    """Upper triangular in SL_n: random entries above the diagonal, and a
+    diagonal of ones or of random nonzero entries with product 1."""
+    diag = [field.one if unit else field.random_nonzero(rng, 3) for _ in range(n - 1)]
+    last = field.one
+    for d in diag:
+        last = last / d
+    diag.append(last)
+    rows = [[field.random_scalar(rng, 3) if j > i else field.zero for j in range(n)] for i in range(n)]
+    for i, d in enumerate(diag):
+        rows[i][i] = d
+    return SLMatrix(field, rows)
+
+
+@st.composite
+def open_cell_samples(draw):
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(101)]))
+    n = draw(st.integers(2, 5))
+    rng = Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        # u n_0 b: in the open cell by construction
+        return mat_product([random_triangular(field, n, rng, True), longest_element_rep(field, n),
+                            random_triangular(field, n, rng, False)])
+    return random_sl(field, n, rng, factors=draw(st.integers(0, 3 * n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(open_cell_samples())
+def test_open_cell_from_the_big_cell_factorization(s):
+    # find_regular_in_ball reads s = u n_0 b off n_0^-1 s = L D U; the
+    # general Bruhat form is the reference
+    field, n = s.field, s.n
+    n0 = longest_element_rep(field, n)
+    bf = bruhat_decompose(s)
+    cell = big_cell_decompose(n0.inverse() * s)
+    assert (bf.w == longest_perm(n)) == (cell is not None)
+    if cell is not None:
+        assert bf.u == mat_product([n0, cell.lower, n0.inverse()])
+        assert bf.b == cell.diag * cell.upper
 
 
 def test_random_sl_bounded_respects_bound(rng):

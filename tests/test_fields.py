@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slword import GF, QQ, Field, Fp
+from slword.fields import MODULUS_LIMIT, _is_prime
 
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -107,10 +108,33 @@ def test_int_coercion():
 
 
 def test_modulus_must_be_prime():
-    for bad in (0, 1, 4, 6, 9, 15):
+    # 561 is a Carmichael number, 2047 a strong pseudoprime to base 2 and
+    # 3215031751 one to the bases 2, 3, 5 and 7
+    for bad in (0, 1, 4, 6, 9, 15, 561, 2047, 3215031751):
         with pytest.raises(ValueError):
             Field(bad)
     GF(2), GF(3), GF(101)  # fine
+
+
+def test_modulus_primality_agrees_with_trial_division():
+    def by_trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    for p in range(3000):
+        assert _is_prime(p) == by_trial_division(p), p
+
+
+def test_large_prime_moduli_are_accepted_below_the_limit():
+    # the last is the largest prime below the limit
+    for p in (10**18 + 3, 2**61 - 1, 3317044064679887385961813):
+        assert GF(p).p == p
+    # the limit is composite but a strong pseudoprime to all 13 bases, so
+    # Miller-Rabin alone would accept it; it and everything above it are
+    # rejected, with the limit named
+    assert MODULUS_LIMIT == 1287836182261 * 2575672364521 and _is_prime(MODULUS_LIMIT)
+    for p in (MODULUS_LIMIT, MODULUS_LIMIT + 2, 10**30 + 57):
+        with pytest.raises(ValueError, match=str(MODULUS_LIMIT)):
+            Field(p)
 
 
 def test_field_json_round_trip():
@@ -120,6 +144,10 @@ def test_field_json_round_trip():
         Field.from_json({"kind": "R"})
     with pytest.raises(ValueError):
         Field.from_json("Q")
+    # the modulus must be a JSON integer, not a float, a string or a boolean
+    for p in (7.0, "7", True, None):
+        with pytest.raises(ValueError):
+            Field.from_json({"kind": "Fp", "p": p})
 
 
 def test_parse_rejects_zero_denominator():

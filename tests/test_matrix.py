@@ -191,3 +191,12 @@ def test_json_rejects_bad_input():
             matrix_from_json({"n": 2, "field": {"kind": "Q"}, "entries": entries})
     with pytest.raises(ValueError):
         matrix_from_json({"n": 2, "field": "Q", "entries": [["1", "0"], ["0", "1"]]})
+    # n and p must be JSON integers: int() would truncate 2.5 to 2 and accept
+    # "2" and true
+    ident = [["1", "0"], ["0", "1"]]
+    for n in (2.0, 2.5, "2", True):
+        with pytest.raises(ValueError):
+            matrix_from_json({"n": n, "field": {"kind": "Q"}, "entries": ident})
+    for p in (7.0, 7.5, "7", True):
+        with pytest.raises(ValueError):
+            matrix_from_json({"n": 2, "field": {"kind": "Fp", "p": p}, "entries": ident})

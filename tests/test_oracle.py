@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from slword import (
@@ -99,17 +101,29 @@ def test_norm_axioms_exhaustive_sl2_f3():
 
 
 def test_bfs_agrees_with_fixed_point():
-    table = enumerate_group(2, 3)
-    for class_ids in [(1,), (2,), (1, 4), (1, 2, 3)]:
-        if not normally_generates(table, class_ids):
-            continue
-        assert norm_ball_table(table, class_ids).norms == norms_by_fixed_point(table, class_ids)
+    # every class set of SL(2,3) and every set of at most 2 classes of
+    # SL(2,5), generating or not: -1 in the same places, and a diameter
+    # exactly when every element is reached
+    seen = set()
+    for n, p, max_k in [(2, 3, 7), (2, 5, 2)]:
+        table = enumerate_group(n, p)
+        m = len(table.classes)
+        for class_ids in (s for k in range(1, max_k + 1) for s in combinations(range(m), k)):
+            nt = norm_ball_table(table, class_ids)
+            ref = norms_by_fixed_point(table, class_ids)
+            assert nt.norms == ref
+            if -1 in ref:
+                assert nt.diameter is None and not normally_generates(table, class_ids)
+            else:
+                assert nt.diameter == max(ref) and normally_generates(table, class_ids)
+            seen.add(nt.diameter is None)
+    assert seen == {True, False}
 
 
 def test_norm_table_rejects_non_generating_classes():
     table = enumerate_group(2, 3)
-    with pytest.raises(ValueError):
-        norm_ball_table(table, (3,))
+    # total on class sets: a non-generating set has no diameter
+    assert norm_ball_table(table, (3,)).diameter is None
     with pytest.raises(ValueError):
         norm_ball_table(table, (17,))
 
