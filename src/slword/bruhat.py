@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .fields import Field
-from .matrix import SLMatrix, is_upper_triangular, mat_product
+from .matrix import SLMatrix, _lowest_terms, is_upper_triangular, mat_product
 from .rootdata import coroot, elementary, weyl_representative
 
 
@@ -61,27 +61,69 @@ def big_cell_decompose(g: SLMatrix) -> BigCellForm | None:
 
     None is a normal outcome (it happens exactly when some leading principal
     minor vanishes), not an error.
+
+    Elimination without pivoting on the flat ints: on residues over F_p, and
+    over Q fraction-free (Bareiss) on the integer numerators A of g = A / den.
+    With M_k the entries at stage k and Delta_k = M_{k-1}(k-1, k-1) the k-th
+    leading minor of A (Delta_0 = 1), L_ik = M_k(i, k) / M_k(k, k),
+    U_kj = M_k(k, j) / M_k(k, k) and D_k = M_k(k, k) / (Delta_k den).  L and U
+    are unitriangular and the pivots multiply to det g = 1, so the factors
+    are wrapped without a determinant check.
     """
-    field, n = g.field, g.n
-    m = [list(r) for r in g.rows]
-    one, zero = field.one, field.zero
-    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    field, n, p = g.field, g.n, g.field.p
+    m = [list(g.entries[i : i + n]) for i in range(0, n * n, n)]
+    factors = _ldu_mod(m, n, p) if p is not None else _ldu_q(m, n, g.den)
+    if factors is None:
+        return None
+    lower, diag, upper = (SLMatrix._wrap(field, n, *f) for f in factors)
+    return BigCellForm(lower=lower, diag=diag, upper=upper)
+
+
+def _ldu_mod(m: list, n: int, p: int) -> tuple | None:
+    """(entries, den) of L, D and U over F_p for the rows m, or None."""
+    lower = [int(i == j) for i in range(n) for j in range(n)]
+    upper = list(lower)
+    diag = [0] * (n * n)
     for k in range(n):
-        piv = m[k][k]
+        prow = m[k]
+        piv = prow[k]
         if not piv:
             return None
+        inv = pow(piv, -1, p)
+        diag[k * (n + 1)] = piv
+        for j in range(k + 1, n):
+            upper[k * n + j] = prow[j] * inv % p
         for i in range(k + 1, n):
-            f = m[i][k] / piv
+            row = m[i]
+            f = row[k] * inv % p
             if f:
-                lower[i][k] = f
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    diag = [m[k][k] for k in range(n)]
-    upper = [[m[i][j] / diag[i] if j > i else (one if i == j else zero) for j in range(n)] for i in range(n)]
-    return BigCellForm(
-        lower=SLMatrix(field, lower),
-        diag=SLMatrix.diagonal(field, diag),
-        upper=SLMatrix(field, upper),
-    )
+                lower[i * n + k] = f
+                m[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+    return (tuple(lower), 1), (tuple(diag), 1), (tuple(upper), 1)
+
+
+def _ldu_q(m: list, n: int, den: int) -> tuple | None:
+    """(entries, den) of L, D and U over Q for g = m / den, or None; every
+    entry is first a pair (num, den) of Bareiss quantities."""
+    lower = [(int(i == j), 1) for i in range(n) for j in range(n)]
+    upper = list(lower)
+    diag = [(0, 1)] * (n * n)
+    prev = 1
+    for k in range(n):
+        prow = m[k]
+        piv = prow[k]
+        if not piv:
+            return None
+        diag[k * (n + 1)] = (piv, prev * den)
+        for j in range(k + 1, n):
+            upper[k * n + j] = (prow[j], piv)
+        for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
+            lower[i * n + k] = (f, piv)
+            m[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = piv
+    return _lowest_terms(lower), _lowest_terms(diag), _lowest_terms(upper)
 
 
 def in_big_cell(g: SLMatrix) -> bool:
@@ -144,6 +186,14 @@ def split_over_big_cell(g: SLMatrix, rng: Random, budget: int = 10_000) -> tuple
     identity is tried first, which succeeds whenever g^-1 is already in the
     big cell.  Each success is verified exactly before returning.
     """
+    h, hp, _ = _split_with_attempts(g, rng, budget)
+    return h, hp
+
+
+def _split_with_attempts(
+    g: SLMatrix, rng: Random, budget: int = 10_000
+) -> tuple[SLMatrix, SLMatrix, int]:
+    """``split_over_big_cell`` and the number of candidates it tried."""
     field, n = g.field, g.n
     g_inv = g.inverse()
     for attempt in range(budget):
@@ -157,5 +207,5 @@ def split_over_big_cell(g: SLMatrix, rng: Random, budget: int = 10_000) -> tuple
         if in_big_cell(h_inv):
             h = h_inv.inverse()
             assert in_big_cell(hp) and h * hp == g
-            return h, hp
+            return h, hp, attempt + 1
     raise SearchBudgetExceeded("splitting over the big cell", budget)

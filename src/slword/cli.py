@@ -105,6 +105,8 @@ def _describe_searches(stats: dict) -> str:
         )
     if "basis_attempts" in stats:
         parts.append(f"basis search {stats['basis_attempts']} attempts")
+    if "split_attempts" in stats:
+        parts.append(f"big-cell split {stats['split_attempts']} attempts")
     return "; ".join(parts)
 
 
@@ -160,6 +162,14 @@ def cmd_oracle(args) -> int:
         # transvection_diameter enumerates the group itself
         sys.stdout.write(_dumps(transvection_diameter(args.n, args.p, args.cap)))
         return 0
+    # an empty request is rejected before the group is enumerated
+    if args.action == "diameter" and args.classes is not None:
+        try:
+            class_ids = tuple(int(c) for c in args.classes.split(","))
+        except ValueError:
+            raise ValueError(f"--classes must be comma-separated class indices, got {args.classes!r}") from None
+    if args.action == "delta" and args.max_classes is not None and args.max_classes < 1:
+        raise ValueError(f"--max-classes must be at least 1, got {args.max_classes}")
     table = enumerate_group(args.n, args.p, args.cap)
     base = {
         "group": f"SL({args.n},{args.p})",
@@ -168,9 +178,7 @@ def cmd_oracle(args) -> int:
         "note": FINITE_FIELD_NOTE,
     }
     if args.action == "diameter":
-        if args.classes:
-            class_ids = tuple(int(c) for c in args.classes.split(","))
-        else:
+        if args.classes is None:
             class_ids = tuple(range(len(table.classes)))
         diam = norm_ball_table(table, class_ids).diameter
         report = dict(

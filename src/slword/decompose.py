@@ -39,7 +39,9 @@ The pipeline, bottom to top:
   length at most 4r, retried until its diagonal is pairwise distinct.  The
   radius is 1 when the rank bound of ``smallest_radius`` lets a ball of
   radius 1 reach the open cell, and n - 1 otherwise or after a fixed run of
-  misses at radius 1.
+  misses at radius 1.  The search runs on the flat int kernel end to end and
+  builds no per-entry scalar; Sourour's basis search and
+  ``diagonalize_in_borel`` below still work on scalar rows.
 
 - ``decompose_full``: t from the ball, g over t by ``decompose_via_sourour``,
   every t^{+-1} letter expanded through t's own certificate: at most
@@ -54,11 +56,12 @@ whole pipeline is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
+from math import gcd
 from operator import mul
 from random import Random
 
-from .bruhat import SearchBudgetExceeded, big_cell_decompose, split_over_big_cell
+from .bruhat import SearchBudgetExceeded, _split_with_attempts, big_cell_decompose
 from .certificate import (
     Certificate,
     Letter,
@@ -98,6 +101,8 @@ class GeneratingSet:
     field: Field
     n: int
     elements: tuple[SLMatrix, ...]
+    # computed once here: the samplers read it on every draw
+    noncentral_indices: tuple[int, ...] = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -105,8 +110,10 @@ class GeneratingSet:
         for x in self.elements:
             if x.field != self.field or x.n != self.n:
                 raise ValueError("generating set mixes fields or dimensions")
-        if not self.noncentral_indices:
+        noncentral = tuple(i for i, x in enumerate(self.elements) if not is_central(x))
+        if not noncentral:
             raise ValueError("every element is central; the set cannot normally generate SL_n")
+        object.__setattr__(self, "noncentral_indices", noncentral)
 
     @classmethod
     def of(cls, elements) -> "GeneratingSet":
@@ -115,27 +122,44 @@ class GeneratingSet:
             raise ValueError("empty generating set")
         return cls(field=elements[0].field, n=elements[0].n, elements=elements)
 
-    @property
-    def noncentral_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.elements) if not is_central(x))
-
 
 def random_sl(field: Field, n: int, rng: Random, factors: int | None = None, bound: int = 2) -> SLMatrix:
     """Random SL_n element: a product of ``factors`` random elementary
     matrices (n + 2 by default, the identity for none), applied as column
-    operations on one identity: M E_ij(x) adds x times column i to column j."""
+    operations on one identity: M E_ij(x) adds x times column i to column j.
+    The operations run on the flat ints (residues mod p, or integers over
+    denominator 1), so no scalar object is built."""
+    return _random_sl_and_inverse(field, n, rng, factors, bound)[0]
+
+
+def _random_sl_and_inverse(
+    field: Field, n: int, rng: Random, factors: int | None = None, bound: int = 2
+) -> tuple[SLMatrix, SLMatrix]:
+    """``random_sl``'s matrix M and M^-1, from the same draws: the inverse is
+    updated alongside by row operations, as (M E_ij(x))^-1 = E_ij(-x) M^-1
+    subtracts x times row j from row i.  Elementary operations keep
+    determinant 1, so both are wrapped without a check."""
     if factors is None:
         factors = n + 2
-    rows = [[field.one if r == c else field.zero for c in range(n)] for r in range(n)]
+    p = field.p
+    m = [int(r == c) for r in range(n) for c in range(n)]
+    inv = list(m)
     for _ in range(factors):
         i = rng.randrange(1, n + 1)
         j = rng.randrange(1, n + 1)
         if i == j:
             j = i % n + 1
-        x = field.random_nonzero(rng, bound)
-        for row in rows:
-            row[j - 1] += x * row[i - 1]
-    return SLMatrix(field, rows)
+        x = field.random_nonzero_int(rng, bound)
+        ci, cj = i - 1, j - 1  # column i into column j of m
+        ri, rj = ci * n, cj * n  # row j out of row i of inv
+        for r in range(0, n * n, n):
+            m[r + cj] += x * m[r + ci]
+        for c in range(n):
+            inv[ri + c] -= x * inv[rj + c]
+    if p is not None:  # the same ops on integers, reduced once
+        m = [e % p for e in m]
+        inv = [e % p for e in inv]
+    return SLMatrix._wrap(field, n, tuple(m), 1), SLMatrix._wrap(field, n, tuple(inv), 1)
 
 
 def random_sl_bounded(field: Field, n: int, rng: Random, bound: int = 10, tries: int = 10_000) -> SLMatrix:
@@ -163,12 +187,17 @@ def decompose_via_unipotents(
 ) -> list[tuple[SLMatrix, SLMatrix]]:
     """Exactly seven pairs (c, u) with u upper unitriangular and
     g = prod of c * u * c^-1 in order."""
+    return _seven_blocks(g, rng, budget)[0]
+
+
+def _seven_blocks(g: SLMatrix, rng: Random, budget: int) -> tuple[list, int]:
+    """``decompose_via_unipotents`` and the attempts its big-cell split took."""
     field, n = g.field, g.n
     ident = SLMatrix.identity(field, n)
     if g.is_identity():
-        return [(ident, ident)] * 7
+        return [(ident, ident)] * 7, 0
 
-    h, hp = split_over_big_cell(g, rng, budget)
+    h, hp, split_attempts = _split_with_attempts(g, rng, budget)
     f1 = big_cell_decompose(h.inverse())
     f2 = big_cell_decompose(hp)
     # g = u1^-1 * (t1^-1 (lo1^-1 lo2) t1) * (t1^-1 t2) * u2
@@ -205,24 +234,28 @@ def decompose_via_unipotents(
     for _, u in blocks:
         assert is_upper_unitriangular(u)
     assert mat_product([mat_product([c, u, c.inverse()]) for c, u in blocks]) == g
-    return blocks
+    return blocks, split_attempts
 
 
 def _seven_block_certificate(g: SLMatrix, t: SLMatrix, rng: Random, budget: int) -> Certificate:
-    """The paper's route over {t}, unchecked: at most 14 letters."""
+    """The paper's route over {t}, unchecked: at most 14 letters.  ``stats``
+    holds the attempts of the big-cell split (0 when none was needed)."""
+    split_attempts = 0
     if g.is_identity():
         word: tuple[Letter, ...] = ()
     elif is_upper_unitriangular(g):
         word = unipotent_as_two_conjugates(t, g).word
     else:
         letters = []
-        for c, u in decompose_via_unipotents(g, rng, budget):
+        blocks, split_attempts = _seven_blocks(g, rng, budget)
+        for c, u in blocks:
             if u.is_identity():
                 continue
             for l in unipotent_as_two_conjugates(t, u).word:
                 letters.append(Letter(c * l.conjugator, 0, l.exponent))
         word = tuple(letters)
-    return Certificate(field=g.field, n=g.n, target=g, base=(t,), word=word, bound_claimed=14)
+    return Certificate(field=g.field, n=g.n, target=g, base=(t,), word=word, bound_claimed=14,
+                       stats={"split_attempts": split_attempts})
 
 
 def _check_base(g: SLMatrix, t: SLMatrix) -> None:
@@ -240,7 +273,9 @@ def decompose_as_conjugates_of(
     return require_valid(_seven_block_certificate(g, t, rng, budget))
 
 
-# -- Sourour's construction, on scalar rows (Fraction or Fp)
+# -- Sourour's construction, on scalar rows (Fraction or Fp); with
+# diagonalize_in_borel, the layer of the two-letter route that does not yet
+# run on the flat int kernel
 
 
 def _choices(a: list, alpha, field: Field, rng: Random):
@@ -382,7 +417,7 @@ def _short_certificate(g: SLMatrix, t: SLMatrix, rng: Random, budget: int) -> Ce
         route = "two-letter"
     if not word:
         fallback = _seven_block_certificate(g, t, rng, budget)
-        return replace(fallback, stats={"route": "fallback", "basis_attempts": attempts})
+        return replace(fallback, stats={"route": "fallback", "basis_attempts": attempts, **fallback.stats})
     return Certificate(field=field, n=n, target=g, base=(t,), word=word, bound_claimed=14,
                        stats={"route": route, "basis_attempts": attempts})
 
@@ -401,38 +436,50 @@ def decompose_via_sourour(
 # -- the regular element t from a ball of X
 
 
-def _sample_ball_element(X: GeneratingSet, rng: Random, radius: int) -> Certificate:
+def _sample_ball_element(X: GeneratingSet, inverses: tuple, rng: Random, radius: int) -> Certificate:
     """A random certified element of the 2r-ball: a product of r commutator
-    blocks (h x h^-1)(k x^-1 k^-1) with x drawn from the noncentral part of X."""
+    blocks (h x h^-1)(k x^-1 k^-1) with x drawn from the noncentral part of X;
+    ``inverses`` holds the inverses of X's elements."""
     field, n = X.field, X.n
     letters = []
     chain = []
     for _ in range(radius):
         idx = rng.choice(X.noncentral_indices)
-        x = X.elements[idx]
-        h = random_sl(field, n, rng)
-        k = random_sl(field, n, rng)
+        h, h_inv = _random_sl_and_inverse(field, n, rng)
+        k, k_inv = _random_sl_and_inverse(field, n, rng)
         letters.append(Letter(h, idx, +1))
         letters.append(Letter(k, idx, -1))
-        chain.extend([h, x, h.inverse(), k, x.inverse(), k.inverse()])
+        chain.extend([h, X.elements[idx], h_inv, k, inverses[idx], k_inv])
     return Certificate(
         field=field, n=n, target=mat_product(chain), base=X.elements, word=tuple(letters)
     )
 
 
-def _rank(rows: list) -> int:
-    """Rank of a matrix of field scalars, by Gaussian elimination."""
-    m = [list(r) for r in rows]
+def _rank(entries: list, n: int, p: int | None) -> int:
+    """Rank of the n-by-n int matrix ``entries`` over F_p, or over Q when p
+    is None, by elimination that only scales rows by nonzero ints: residues
+    stay reduced mod p, integer rows are divided by their content."""
+    m = [entries[i : i + n] for i in range(0, n * n, n)]
+    if p is not None:
+        m = [[x % p for x in row] for row in m]
     rank = 0
-    for c in range(len(m[0])):
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+    for c in range(n):
+        piv = next((r for r in range(rank, n) if m[r][c]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, len(m)):
-            if m[r][c]:
-                f = m[r][c] / m[rank][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        prow = m[rank]
+        pv = prow[c]
+        for r in range(rank + 1, n):
+            f = m[r][c]
+            if f:
+                row = [pv * a - f * b for a, b in zip(m[r], prow)]
+                if p is not None:
+                    row = [x % p for x in row]
+                else:
+                    g = gcd(*row)
+                    row = [x // g for x in row] if g > 1 else row
+                m[r] = row
         rank += 1
     return rank
 
@@ -446,10 +493,15 @@ def smallest_radius(X: GeneratingSet) -> int:
     block of s invertible, when 2 r rho >= floor(n/2).  Never above n - 1.
     """
     n = X.n
-    rho = max(
-        _rank([[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(X.elements[k].rows)])
-        for k in X.noncentral_indices
-    )
+
+    def rank_minus_one(x: SLMatrix) -> int:
+        # x - 1 on the flat entries: entries - den * I
+        es = list(x.entries)
+        for i in range(0, n * n, n + 1):
+            es[i] -= x.den
+        return _rank(es, n, X.field.p)
+
+    rho = max(rank_minus_one(X.elements[k]) for k in X.noncentral_indices)
     return min(n - 1, max(1, -(-(n // 2) // (2 * rho))))
 
 
@@ -463,6 +515,11 @@ def find_regular_in_ball(
     A sample s is in the open cell B n_0 B = n_0 U- T U exactly when
     ``big_cell_decompose(n_0^-1 s)`` is not None, and its factors L, D, U
     give the unique s = u n_0 b with u = n_0 L n_0^-1 and b = D U.
+
+    Everything here runs on the flat ints and builds no ``Fraction`` or
+    ``Fp`` per entry: the conjugators and their inverses come from
+    elementary operations, X is inverted once per call, n_0 is the signed
+    anti-diagonal and the open-cell test is the flat LDU.
 
     The radius r is 1 when ``smallest_radius(X)`` is 1, and n - 1, the
     paper's radius, otherwise: the rank bound is necessary, not sufficient,
@@ -487,11 +544,12 @@ def find_regular_in_ball(
     r = first = 1 if smallest_radius(X) == 1 else n - 1
     n0 = longest_element_rep(field, n)
     n0i = n0.inverse()
+    inverses = tuple(x.inverse() for x in X.elements)
     attempts = misses = run = rejected = 0
     left = None  # an open-cell sample of the form x * n_0, awaiting its partner
     while attempts < budget:
         attempts += 1
-        cert = _sample_ball_element(X, rng, r)
+        cert = _sample_ball_element(X, inverses, rng, r)
         cell = big_cell_decompose(n0i * cert.target)
         if cell is None:
             misses += 1

@@ -217,15 +217,22 @@ class Field:
         reduction required; residues are decimal strings, reduced mod p.
         Malformed strings, including a zero denominator, raise ``ValueError``.
         """
+        num, den = self.parse_ints(s)
+        return Fraction(num, den) if self.p is None else Fp(num, self.p)
+
+    def parse_ints(self, s: str) -> tuple[int, int]:
+        """What :meth:`parse` reads from ``s``, as ints and without a scalar
+        object: ``(num, den)`` with ``den != 0``, not reduced, over Q, and
+        ``(residue, 1)`` over F_p."""
         s = s.strip()
         if self.p is None:
             if "/" in s:
                 num, den = s.split("/", 1)
                 if int(den) == 0:
                     raise ValueError(f"zero denominator in {s!r}")
-                return Fraction(int(num), int(den))
-            return Fraction(int(s))
-        return Fp(int(s), self.p)
+                return int(num), int(den)
+            return int(s), 1
+        return int(s) % self.p, 1
 
     def format(self, x: Scalar) -> str:
         """Canonical string form, inverse to :meth:`parse`."""
@@ -241,10 +248,16 @@ class Field:
         return Fp(rng.randrange(self.p), self.p)
 
     def random_nonzero(self, rng: Random, bound: int = 3) -> Scalar:
+        v = self.random_nonzero_int(rng, bound)
+        return Fraction(v) if self.p is None else Fp(v, self.p)
+
+    def random_nonzero_int(self, rng: Random, bound: int = 3) -> int:
+        """The value :meth:`random_nonzero` draws, as an int: in
+        ``[-bound, bound]`` over Q, a residue in ``[1, p)`` over F_p."""
         if self.p is None:
             v = rng.randint(1, bound)
-            return Fraction(v if rng.random() < 0.5 else -v)
-        return Fp(rng.randrange(1, self.p), self.p)
+            return v if rng.random() < 0.5 else -v
+        return rng.randrange(1, self.p)
 
     def to_json(self) -> dict:
         if self.p is None:

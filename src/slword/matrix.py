@@ -29,7 +29,8 @@ Code that needs field scalars (``Fraction`` or :class:`~slword.fields.Fp`)
 reads them through :attr:`SLMatrix.rows`, which builds them on each access.
 
 JSON encoding of a matrix is ``{"n": int, "field": {...}, "entries": [[str]]}``
-with entries formatted canonically on output and parsed loosely on input.
+with entries formatted canonically on output and parsed loosely on input,
+straight to the flat ints (``Field.parse_ints``).
 """
 
 from __future__ import annotations
@@ -53,13 +54,7 @@ class SLMatrix:
             raise ValueError(f"dimension must be >= 2, got {n}")
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        vals = [field.scalar(e) for row in rows for e in row]
-        if field.p is None:
-            den = lcm(*(v.denominator for v in vals))
-            entries = tuple(v.numerator * (den // v.denominator) for v in vals)
-        else:
-            den = 1
-            entries = tuple(v.val for v in vals)
+        entries, den = _flat_entries(field, [e for row in rows for e in row])
         d = _det_scalar(field, n, entries, den)
         if d != field.one:
             raise ValueError(f"determinant must be 1, got {field.format(d)}")
@@ -67,9 +62,12 @@ class SLMatrix:
 
     @classmethod
     def _wrap(cls, field: Field, n: int, entries: tuple, den: int) -> "SLMatrix":
-        # entries/den must be canonical and of determinant 1: the identity, or
-        # a product or inverse of checked matrices, which the kernels compute
-        # exactly (tests/test_kernel.py pins them against the scalar reference)
+        # entries/den must be canonical and of determinant 1 by construction:
+        # the identity, a product or inverse of checked matrices, a matrix
+        # made from one by elementary row or column operations, a factor of an
+        # LDU factorization, or the signed anti-diagonal n_0; the kernels
+        # compute them exactly (tests/test_kernel.py pins them against the
+        # scalar reference)
         out = cls.__new__(cls)
         out.field, out.n, out.entries, out.den = field, n, entries, den
         return out
@@ -150,6 +148,35 @@ class SLMatrix:
 
 
 # flat int kernels: a matrix is a row-major tuple of n*n ints
+
+
+def _flat_entries(field: Field, vals: list) -> tuple[tuple, int]:
+    """Canonical (entries, den) of values read as ``Field.scalar`` reads
+    them.  Strings (as ``Field.parse`` reads them) and ints become ints
+    directly, without a scalar object; Fractions and residues are read off."""
+    p = field.p
+    pairs = []
+    for v in vals:
+        if isinstance(v, str):
+            pairs.append(field.parse_ints(v))
+        elif isinstance(v, int):
+            pairs.append((v, 1))
+        else:
+            x = field.scalar(v)
+            pairs.append((x.val, 1) if p is not None else (x.numerator, x.denominator))
+    if p is not None:
+        return tuple([a % p for a, _ in pairs]), 1
+    return _lowest_terms(pairs)
+
+
+def _lowest_terms(pairs: list) -> tuple[tuple, int]:
+    """Canonical (entries, den) of the rationals a / b, b != 0, of ``pairs``:
+    over the lcm of the raw denominators, then reduced by gcd(den, *entries),
+    which leaves den the lcm of the reduced denominators."""
+    den = lcm(*[b for _, b in pairs])
+    entries = [a * (den // b) for a, b in pairs]
+    g = gcd(den, *entries)
+    return tuple([x // g for x in entries]), den // g
 
 
 def _identity_entries(n: int) -> tuple:

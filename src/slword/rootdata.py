@@ -13,8 +13,8 @@ Conventions, pinned once so certificates are reproducible:
 - The representative of an arbitrary permutation w is the product of simple
   reflection representatives along the lexicographically smallest reduced
   word of w (greedy smallest descent).  ``longest_element_rep`` is that
-  representative for the order-reversing permutation; conjugation by it swaps
-  U and U-.
+  representative for the order-reversing permutation, the signed
+  anti-diagonal; conjugation by it swaps U and U-.
 
 Permutations are tuples ``w`` of length n over 0..n-1 with ``w[j]`` the image
 of column j (0-based internally, despite the 1-based matrix-entry indexing).
@@ -113,8 +113,17 @@ def weyl_representative(field: Field, w: tuple[int, ...]) -> SLMatrix:
 
 def longest_element_rep(field: Field, n: int) -> SLMatrix:
     """Representative of the longest Weyl element; swaps U and U- by
-    conjugation, and its square is diagonal with entries +-1."""
-    return weyl_representative(field, longest_perm(n))
+    conjugation, and its square is diagonal with entries +-1.
+
+    It is the pinned ``weyl_representative(field, longest_perm(n))``, built
+    directly as the signed anti-diagonal: entry (i, n+1-i) is (-1)^(i+1),
+    1-based, which has determinant 1.
+    """
+    minus_one = -1 if field.p is None else field.p - 1
+    entries = [0] * (n * n)
+    for i in range(n):
+        entries[i * n + n - 1 - i] = minus_one if i % 2 else 1
+    return SLMatrix._wrap(field, n, tuple(entries), 1)
 
 
 def standard_generators(field: Field, n: int) -> list[SLMatrix]:

@@ -71,3 +71,58 @@ def inverse_rows(rows, field: Field):
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return tuple(tuple(r) for r in inv)
+
+
+def random_sl_rows(field: Field, n, rng, factors=None, bound=2):
+    """``random_sl`` on scalar rows: the same draws, in the same order, as
+    column operations M E_ij(x) on one identity."""
+    if factors is None:
+        factors = n + 2
+    rows = [[field.one if r == c else field.zero for c in range(n)] for r in range(n)]
+    for _ in range(factors):
+        i = rng.randrange(1, n + 1)
+        j = rng.randrange(1, n + 1)
+        if i == j:
+            j = i % n + 1
+        x = field.random_nonzero(rng, bound)
+        for row in rows:
+            row[j - 1] += x * row[i - 1]
+    return tuple(tuple(r) for r in rows)
+
+
+def ldu_rows(rows, field: Field):
+    """(lower, diag, upper) rows of the LDU factorization by elimination
+    without pivoting, or None when a pivot vanishes."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    one, zero = field.one, field.zero
+    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for k in range(n):
+        piv = m[k][k]
+        if not piv:
+            return None
+        for i in range(k + 1, n):
+            f = m[i][k] / piv
+            if f:
+                lower[i][k] = f
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    diag = [[m[i][i] if i == j else zero for j in range(n)] for i in range(n)]
+    upper = [[m[i][j] / m[i][i] if j > i else (one if i == j else zero) for j in range(n)] for i in range(n)]
+    return lower, diag, upper
+
+
+def rank_rows(rows):
+    """Rank of a matrix of field scalars, by Gaussian elimination."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            if m[r][c]:
+                f = m[r][c] / m[rank][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank

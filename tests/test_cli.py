@@ -23,6 +23,7 @@ from slword import (
     matrix_to_json,
     substitute_certificate,
 )
+from slword import cli
 from slword.cli import _dumps, main
 
 
@@ -231,6 +232,34 @@ def test_certify_empty_genset_is_exit_3(tmp_path, target_file, capsys):
     assert code == 3
 
 
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Fail the test if the CLI enumerates a group."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group was enumerated for a request rejected at the start")
+
+    monkeypatch.setattr(cli, "enumerate_group", refuse)
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_oracle_delta_rejects_max_classes_below_1_before_enumerating(k, capsys, no_enumeration):
+    code, stdout, stderr = run_cli(
+        ["oracle", "delta", "--n", "2", "--p", "5", "--max-classes", k], capsys
+    )
+    assert code == 3 and stdout == ""
+    assert "--max-classes must be at least 1" in stderr
+
+
+@pytest.mark.parametrize("classes", ["", " ", "1,", "1;2"])
+def test_oracle_diameter_rejects_an_empty_or_malformed_class_list(classes, capsys, no_enumeration):
+    code, stdout, stderr = run_cli(
+        ["oracle", "diameter", "--n", "2", "--p", "5", "--classes", classes], capsys
+    )
+    assert code == 3 and stdout == ""
+    assert "--classes must be comma-separated class indices" in stderr
+
+
 def test_oracle_rejects_unknown_class_index(capsys):
     code, _, _ = run_cli(
         ["oracle", "diameter", "--n", "2", "--p", "3", "--classes", "42"], capsys
@@ -427,6 +456,18 @@ def test_certify_summary_names_route_radius_and_attempts(tmp_path, capsys):
     assert "route two-letter" in stderr
     assert "t at radius 1 after 5 samples (3 outside the open cell" in stderr
     assert "basis search 2 attempts" in stderr
+
+
+def test_certify_summary_names_split_attempts_on_the_fallback_route(
+    target_file, generator_file, capsys, monkeypatch
+):
+    monkeypatch.setattr(decompose, "_sourour_basis", lambda g, alphas, rng: (None, 7))
+    code, _, stderr = run_cli(
+        ["certify", "--field", "Q", "--n", "2", "--target", target_file, "--generator", generator_file],
+        capsys,
+    )
+    assert code == 0
+    assert "route fallback; basis search 7 attempts; big-cell split 1 attempts" in stderr
 
 
 def test_certify_mismatch_is_exit_1(tmp_path, target_file, genset_file, capsys, monkeypatch):

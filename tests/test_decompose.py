@@ -383,7 +383,7 @@ def test_sourour_route_falls_back_to_seven_blocks(monkeypatch):
     g = random_sl(field, 3, Random(4), factors=9)
     monkeypatch.setattr(decompose, "_sourour_basis", lambda g, alphas, rng: (None, 7))
     cert = decompose_via_sourour(g, t, Random(8))
-    assert cert.stats == {"route": "fallback", "basis_attempts": 7}
+    assert cert.stats == {"route": "fallback", "basis_attempts": 7, "split_attempts": 1}
     assert cert == decompose_as_conjugates_of(g, t, Random(8))
     assert cert.length > 2 and verify_certificate(cert)
 

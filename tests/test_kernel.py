@@ -1,15 +1,36 @@
-"""The flat int kernels of ``slword.matrix`` against the scalar reference in
-``reference_kernel.py``, on random matrices over Q and F_p for n = 2..6."""
+"""The flat int kernels against the scalar reference in
+``reference_kernel.py``: products, inverses and determinants of
+``slword.matrix`` on random matrices over Q and F_p for n = 2..6, and the
+kernels of the regular-element search (``random_sl`` and its inverse, n_0,
+the big-cell LDU and the rank in ``smallest_radius``)."""
 
 from fractions import Fraction
 from math import lcm
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_kernel import det_rows, inverse_rows, mul_rows
-from slword import GF, QQ, SLMatrix, mat_product, random_sl
+from reference_kernel import det_rows, inverse_rows, ldu_rows, mul_rows, random_sl_rows, rank_rows
+from slword import (
+    GF,
+    QQ,
+    Field,
+    Fp,
+    GeneratingSet,
+    SLMatrix,
+    big_cell_decompose,
+    elementary,
+    find_regular_in_ball,
+    longest_element_rep,
+    mat_product,
+    random_sl,
+    verify_certificate,
+    weyl_representative,
+)
+from slword.decompose import _random_sl_and_inverse, _rank
 from slword.matrix import _det_scalar, _inverse_mod, _inverse_q, _product
+from slword.rootdata import longest_perm
 
 PRIMES = (2, 3, 7, 101)
 
@@ -99,3 +120,105 @@ def test_group_operations_match_reference(p, n, seed):
     assert det_rows(mat_product(mats).rows, field) == field.one
     # a matrix built from its own scalars is the same matrix
     assert SLMatrix(field, expected) == mat_product(mats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((None, 5, 101)),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=2**32),
+    st.data(),
+)
+def test_random_sl_and_its_inverse_match_column_operations(p, n, seed, data):
+    field = QQ if p is None else GF(p)
+    factors = data.draw(st.sampled_from((None, 0, 1, n + 2, 2 * n)))
+    expected = random_sl_rows(field, n, Random(seed), factors)
+    g, g_inv = _random_sl_and_inverse(field, n, Random(seed), factors)
+    assert (g.entries, g.den) == flat(field, expected)
+    assert (g_inv.entries, g_inv.den) == flat(field, inverse_rows(expected, field))
+    assert random_sl(field, n, Random(seed), factors) == g
+
+
+@pytest.mark.parametrize("p", [None, 5, 101])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_longest_element_rep_is_the_pinned_representative(p, n):
+    field = QQ if p is None else GF(p)
+    n0 = longest_element_rep(field, n)
+    assert n0 == weyl_representative(field, longest_perm(n))
+    assert det_rows(n0.rows, field) == field.one
+
+
+def ldu_input(field, n, rng):
+    """A determinant-1 matrix with non-integral entries over Q, moved out of
+    the big cell by a random Weyl representative one time in three."""
+    a = Fraction(rng.randint(1, 9), rng.randint(1, 9)) if field.p is None else rng.randrange(1, field.p)
+    d = SLMatrix.diagonal(field, [a, 1 / field.scalar(a)] + [1] * (n - 2))
+    g = mat_product([random_sl(field, n, rng), d, random_sl(field, n, rng, factors=2 * n)])
+    if rng.randrange(3) == 0:
+        w = list(range(n))
+        rng.shuffle(w)
+        g = weyl_representative(field, tuple(w)) * g
+    return g
+
+
+@pytest.mark.parametrize("p", [None, 7, 101])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_big_cell_decompose_matches_the_scalar_ldu(p, n):
+    field = QQ if p is None else GF(p)
+    rng = Random(1000 * n + (p or 0))
+    seen = {"outside": 0, "inside": 0, "non-integral": 0}
+    for g in [ldu_input(field, n, rng) for _ in range(60)] + [longest_element_rep(field, n)]:
+        form = big_cell_decompose(g)
+        expected = ldu_rows(g.rows, field)
+        if expected is None:
+            assert form is None
+            seen["outside"] += 1
+            continue
+        seen["inside"] += 1
+        seen["non-integral"] += g.den > 1
+        for got, rows in zip((form.lower, form.diag, form.upper), expected):
+            assert (got.entries, got.den) == flat(field, rows)
+        assert mat_product([form.lower, form.diag, form.upper]) == g
+    assert seen["outside"] and seen["inside"]
+    assert seen["non-integral"] or p is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(square())
+def test_rank_matches_reference(m):
+    field, n, rows = m
+    entries, _ = flat(field, rows)
+    assert _rank(list(entries), n, field.p) == rank_rows(rows)
+
+
+@pytest.mark.parametrize("p", [None, 5, 101])
+def test_rank_of_x_minus_one_matches_reference(p):
+    field = QQ if p is None else GF(p)
+    rng = Random(7)
+    for n in range(2, 7):
+        for factors in range(1, n + 2):
+            x = random_sl(field, n, rng, factors=factors)
+            rows = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(x.rows)]
+            entries = list(x.entries)
+            for i in range(0, n * n, n + 1):
+                entries[i] -= x.den
+            assert _rank(entries, n, p) == rank_rows(rows)
+
+
+def test_find_regular_in_ball_builds_no_scalars(monkeypatch):
+    # certify-q and certify-fp shaped inputs: X = {E_12(1)} over Q at n = 4
+    # and over F_101 at n = 5
+    sets = [GeneratingSet.of([elementary(field, n, 1, 2, 1)]) for field, n in [(QQ, 4), (GF(101), 5)]]
+
+    def no_scalars(*args, **kwargs):
+        raise AssertionError("the regular-element search built a per-entry scalar")
+
+    monkeypatch.setattr(SLMatrix, "rows", property(no_scalars))
+    monkeypatch.setattr(Field, "scalar", no_scalars)
+    monkeypatch.setattr(Field, "zero", property(no_scalars))
+    monkeypatch.setattr(Field, "one", property(no_scalars))
+    monkeypatch.setattr(Fp, "__init__", no_scalars)
+    found = [find_regular_in_ball(X, Random(seed)) for X in sets for seed in (3, 5)]
+    monkeypatch.undo()
+    for t, cert in found:
+        assert cert.target == t and verify_certificate(cert)

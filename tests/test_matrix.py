@@ -200,3 +200,32 @@ def test_json_rejects_bad_input():
     for p in (7.0, 7.5, "7", True):
         with pytest.raises(ValueError):
             matrix_from_json({"n": 2, "field": {"kind": "Fp", "p": p}, "entries": ident})
+
+
+ENTRY_STRINGS = [
+    "3", " 3 ", "+4", "-0", "007", "2/-4", " -6 / 9 ", "-3/-6", "1_000", "٣",
+    "x", "", " ", "1/0", "0/0", "1.5", "1//2", "1/2/3", "/2", "2/",
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_json_entries_parse_to_ints_as_field_parse_reads_them(field, monkeypatch):
+    expected = {}
+    for s in ENTRY_STRINGS:
+        try:
+            expected[s] = SLMatrix(field, [[1, field.parse(s)], [0, 1]])
+        except ValueError:
+            expected[s] = ValueError
+
+    def no_scalars(*args, **kwargs):
+        raise AssertionError("a JSON entry was parsed into a scalar object")
+
+    monkeypatch.setattr(type(field), "parse", no_scalars)
+    monkeypatch.setattr(type(field), "scalar", no_scalars)
+    for s in ENTRY_STRINGS:
+        d = {"n": 2, "field": field.to_json(), "entries": [["1", s], ["0", "1"]]}
+        if expected[s] is ValueError:
+            with pytest.raises(ValueError):
+                matrix_from_json(d)
+        else:
+            assert matrix_from_json(d) == expected[s]
