@@ -1,9 +1,9 @@
 """Batch command-line interface.
 
-Machine-readable JSON goes to stdout, human summaries to stderr, so output
-can be piped straight into other tools.  All randomness is driven by --seed
-(falling back to the SLWORD_SEED environment variable, then 0), and a fixed
-seed reproduces byte-identical output.
+Each JSON output is one canonical compact line on stdout (sorted keys, no
+whitespace; ``python -m json.tool`` indents it), human summaries to
+stderr; older, indented certificates still verify.  The seed is --seed, else
+$SLWORD_SEED, else 0; a fixed seed reproduces byte-identical output.
 
 Exit codes: 0 success, 1 certificate verification mismatch (from ``verify``,
 or from ``certify`` when the certificate it built fails its own final
@@ -41,7 +41,7 @@ from .oracle import (
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _load_json(path: str):

@@ -1,9 +1,11 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -51,6 +53,20 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_canonical_line(out):
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def assert_golden(out, digest):
+    """`out` is canonical, and its indented re-encoding, the form the golden
+    digests were recorded from, hashes to `digest`: together they pin the
+    bytes of `out`."""
+    assert_one_canonical_line(out)
+    indented = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == digest
 
 
 def test_certify_then_verify_t_mode(tmp_path, target_file, generator_file, capsys):
@@ -392,8 +408,9 @@ def test_certify_malformed_target_entries_is_exit_3(tmp_path, genset_file, capsy
 # SHA-256 of `certify --genset X={E_12(1)} --seed 5` for two fixed targets, as
 # produced by the scalar-entry matrix kernel this package used before its flat
 # int kernel, when certify took t from the radius n-1 ball and g over t by the
-# seven-block route; a fixed seed must keep giving byte-identical
-# certificates, so the same library calls must still reproduce them
+# seven-block route, and wrote JSON with indent=2; a fixed seed must keep
+# giving the same certificates, so the same library calls must still
+# reproduce them (`assert_golden` hashes the indented re-encoding)
 GOLDEN_CERTIFICATES = [
     ("Q", [["1", "0", "-2"], ["2", "1", "-4"], ["3", "-3", "-5"]],
      "82cf0a4a082449ee823dea4b65d301f4bc6cc64d72647a28185739b5ff75903f"),
@@ -428,8 +445,7 @@ def test_certify_output_is_byte_identical_to_golden(tmp_path, monkeypatch, field
     t, t_cert = find_regular_in_ball(X, rng)
     mid = decompose_as_conjugates_of(matrix_from_json(g), t, rng)
     cert = replace(substitute_certificate(mid, t_cert), seed=5, bound_claimed=56 * (n - 1))
-    out = _dumps(certificate_to_json(cert))
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert_golden(_dumps(certificate_to_json(cert)), digest)
 
 
 @pytest.mark.parametrize("field_arg,entries,digest", GOLDEN_CERTIFICATES, ids=["Q", "F101"])
@@ -442,7 +458,7 @@ def test_certify_output_is_byte_identical_to_short_golden(tmp_path, capsys, fiel
     )
     assert code == 0
     assert json.loads(stdout)["meta"]["length"] == 8
-    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_SHORT_CERTIFICATES[field_arg]
+    assert_golden(stdout, GOLDEN_SHORT_CERTIFICATES[field_arg])
 
 
 def test_certify_summary_names_route_radius_and_attempts(tmp_path, capsys):
@@ -565,8 +581,8 @@ def test_oracle_transvection_report(capsys):
     assert report["order"] == 168 and report["diameter"] == 3
 
 
-# SHA-256 of the stdout of `oracle ...`, as written when each class set was
-# searched twice and `transvection` enumerated the group twice
+# SHA-256 of the stdout of `oracle ...`, as written with indent=2 when each
+# class set was searched twice and `transvection` enumerated the group twice
 GOLDEN_ORACLE_REPORTS = [
     ("diameter --n 2 --p 5", "1ac034bbcc347937779dab3c31d3ccc04f099a6f3523be9791645c3854d0d719"),
     ("diameter --n 2 --p 3 --classes 3",
@@ -582,7 +598,7 @@ GOLDEN_ORACLE_REPORTS = [
 def test_oracle_output_is_byte_identical_to_golden(capsys, request_args, digest):
     code, stdout, _ = run_cli(["oracle", *request_args.split()], capsys)
     assert code == 0
-    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+    assert_golden(stdout, digest)
 
 
 def test_oracle_cap_exceeded_is_exit_4(capsys):
@@ -618,3 +634,96 @@ def test_fresh_process_round_trip(tmp_path, target_file, generator_file, subproc
     v = subprocess.run([sys.executable, "-m", "slword", "verify", out], capture_output=True,
                        env=subprocess_env)
     assert v.returncode == 0
+
+
+def certify_golden(tmp_path, capsys, field_arg, entries):
+    """`certify --out` on a golden request: its stdout, which must equal the
+    file, and the file's path."""
+    n, _, _, tgt, xs = golden_request(tmp_path, field_arg, entries)
+    out = tmp_path / "cert.json"
+    code, stdout, _ = run_cli(
+        ["certify", "--field", field_arg, "--n", str(n), "--target", tgt, "--genset", xs,
+         "--seed", "5", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert stdout == out.read_text()
+    return stdout, out
+
+
+def certify_output(tmp_path, capsys):
+    return certify_golden(tmp_path, capsys, *GOLDEN_CERTIFICATES[1][:2])[0]
+
+
+def verify_mismatch_output(tmp_path, capsys):
+    _, out = certify_golden(tmp_path, capsys, *GOLDEN_CERTIFICATES[1][:2])
+    cert = json.loads(out.read_text())
+    rows = cert["word"][0]["conjugator"]["entries"]
+    rows[0] = [str((int(a) + int(b)) % 101) for a, b in zip(rows[0], rows[1])]
+    code, stdout, _ = run_cli(["verify", write_json(tmp_path / "bad.json", cert)], capsys)
+    assert code == 1
+    return stdout
+
+
+def bruhat_output(tmp_path, capsys):
+    g = write_json(tmp_path / "g.json", matrix_to_json(SLMatrix(QQ, [[1, 1], [1, 2]])))
+    code, stdout, _ = run_cli(["bruhat", "--matrix", g], capsys)
+    assert code == 0
+    return stdout
+
+
+def oracle_output(request_args):
+    def run(tmp_path, capsys):
+        code, stdout, _ = run_cli(["oracle", *request_args.split()], capsys)
+        assert code == 0
+        return stdout
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "request_output",
+    [certify_output, verify_mismatch_output, bruhat_output,
+     oracle_output("diameter --n 2 --p 3 --classes 1"), oracle_output("delta --n 2 --p 3"),
+     oracle_output("transvection --n 3 --p 2")],
+    ids=["certify", "verify-mismatch", "bruhat", "oracle-diameter", "oracle-delta",
+         "oracle-transvection"],
+)
+def test_every_json_output_is_one_canonical_line(tmp_path, capsys, request_output):
+    assert_one_canonical_line(request_output(tmp_path, capsys))
+
+
+def test_verify_accepts_an_indented_certificate(tmp_path, capsys):
+    # certificates written before the output became compact still verify
+    _, out = certify_golden(tmp_path, capsys, *GOLDEN_CERTIFICATES[0][:2])
+    out.write_text(json.dumps(json.loads(out.read_text()), indent=2, sort_keys=True) + "\n")
+    code, _, stderr = run_cli(["verify", str(out)], capsys)
+    assert code == 0
+    assert "OK" in stderr
+
+
+def load_benchmark_check():
+    """The benchmark's own output checker, loaded by path so that it does not
+    shadow or depend on any module named `check`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("field_arg,entries", [g[:2] for g in GOLDEN_CERTIFICATES], ids=["Q", "F101"])
+def test_benchmark_check_accepts_certify_output(tmp_path, capsys, field_arg, entries):
+    check = load_benchmark_check()
+    _, out = certify_golden(tmp_path, capsys, field_arg, entries)
+    p = None if field_arg == "Q" else 101
+    target = check.parse_matrix({"n": len(entries), "field": check.field_json(p), "entries": entries},
+                                p, len(entries))
+    assert check.check_certificate_file(str(out), p, len(entries), target)["letters"] == 8
+
+
+def test_benchmark_check_accepts_oracle_diameter_output(capsys):
+    check = load_benchmark_check()
+    code, stdout, _ = run_cli(["oracle", "diameter", "--n", "2", "--p", "11", "--classes", "2"], capsys)
+    assert code == 0
+    check.check_oracle_diameter(json.loads(stdout), 2)
