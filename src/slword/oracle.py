@@ -10,13 +10,13 @@ only at the API boundary.
 Word norms here are with respect to a set of conjugacy classes: the letter
 set of a class selection is the union of the chosen classes and their inverse
 classes (a word may use conjugates of generators and of their inverses), and
-the norm of g is the least number of letters multiplying to g.  Because the
-letter set is closed under conjugation, ball(k+1) = ball(k) * letters, which
-is exactly the layered search ``norm_ball_table`` runs, once per class set:
-it gives the norms, whether the classes normally generate and the diameter.
-A second, deliberately different implementation (Bellman-style relaxation
-over the full multiplication table, ``norms_by_fixed_point``) exists purely
-to cross-check the first.
+the norm of g is the least number of letters multiplying to g.  The letters
+are closed under conjugation, so each sphere is a union of classes and
+gxg^-1 * letters = g (x * letters) g^-1: ``norm_ball_table`` grows the ball
+over classes, one representative each, once per class set, for the norms,
+generation and the diameter.  ``norms_by_fixed_point``, a deliberately
+different Bellman-style relaxation over the whole group, exists purely to
+cross-check it.
 
 Delta is computable for a finite group because a norm only depends on which
 conjugacy classes the generating set touches: the supremum over all finite
@@ -28,7 +28,7 @@ pipeline, not statements about infinite fields; reports label them as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .fields import GF
 from .matrix import SLMatrix, _det_mod, _inverse_mod, _mul_mod
@@ -86,6 +86,8 @@ class GroupTable:
 def enumerate_group(n: int, p: int, cap: int = 10**6) -> GroupTable:
     """Enumerate SL_n(F_p) by closure from the elementary generators
     E_{i,i+1}(1), E_{i+1,i}(1); raises GroupSizeCapExceeded past ``cap``."""
+    if n < 2:
+        raise ValueError(f"dimension must be >= 2, got {n}")
     gens = [g.entries for g in standard_generators(GF(p), n)]
     ident = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
@@ -150,17 +152,7 @@ def brute_force_elements(n: int, p: int) -> set[tuple]:
     Exponential in n^2; only sane for the tiny groups the tests cross-check.
     Kept deliberately independent of :func:`enumerate_group`.
     """
-    out = set()
-    total = p ** (n * n)
-    for code in range(total):
-        e, c = [], code
-        for _ in range(n * n):
-            e.append(c % p)
-            c //= p
-        e = tuple(e)
-        if _det_mod(e, n, p) == 1:
-            out.add(e)
-    return out
+    return {e for e in product(range(p), repeat=n * n) if _det_mod(e, n, p) == 1}
 
 
 def _letters(table: GroupTable, class_ids) -> list[int]:
@@ -172,8 +164,7 @@ def _letters(table: GroupTable, class_ids) -> list[int]:
             raise ValueError(f"no conjugacy class {c}")
         ids.add(c)
         ids.add(table.class_inverse[c])
-    out = sorted(i for c in ids for i in table.classes[c] if i != 0)
-    return out
+    return sorted(i for c in ids for i in table.classes[c] if i != 0)
 
 
 @dataclass
@@ -184,27 +175,30 @@ class NormTable:
 
 
 def norm_ball_table(table: GroupTable, class_ids) -> NormTable:
-    """Word norms over the chosen classes and their inverses, by layered ball
-    growth.  Total on class sets: the diameter is None when some element is
-    never reached; only an unknown class index raises ``ValueError``."""
+    """Word norms over the chosen classes and their inverses, by ball growth
+    over classes, one representative each: gxg^-1 * letters = g (x * letters)
+    g^-1 as the letters are conjugation-closed.  Total on class sets: the
+    diameter is None when some element is never reached; only an unknown
+    class index raises ``ValueError``."""
     letters = [table.elements[i] for i in _letters(table, class_ids)]
     n, p = table.n, table.p
-    norms = [-1] * table.order
-    norms[0] = 0
-    frontier = [table.elements[0]]
+    cnorm = [-1] * len(table.classes)
+    cnorm[0] = 0  # class 0 is the identity's
+    frontier = [0]
     dist = 0
     while frontier:
         dist += 1
         nxt = []
-        for e in frontier:
+        for c in frontier:
+            x = table.elements[table.classes[c][0]]
             for l in letters:
-                prod = _mul_mod(e, l, n, p)
-                i = table.index[prod]
-                if norms[i] == -1:
-                    norms[i] = dist
-                    nxt.append(prod)
+                d = table.class_of[table.index[_mul_mod(x, l, n, p)]]
+                if cnorm[d] == -1:
+                    cnorm[d] = dist
+                    nxt.append(d)
         frontier = nxt
-    diameter = None if -1 in norms else max(norms)
+    norms = [cnorm[c] for c in table.class_of]
+    diameter = None if -1 in cnorm else max(cnorm)
     return NormTable(class_ids=tuple(sorted(set(class_ids))), norms=norms, diameter=diameter)
 
 
@@ -275,11 +269,7 @@ def delta(table: GroupTable, max_classes: int | None = None, subset_cap: int = 2
     witnesses = []
     for k in range(1, m + 1):
         for subset in combinations(range(m), k):
-            closure = set()
-            for c in subset:
-                closure.add(c)
-                closure.add(table.class_inverse[c])
-            key = tuple(sorted(closure))
+            key = tuple(sorted(set(subset) | {table.class_inverse[c] for c in subset}))
             if key not in cache:
                 cache[key] = norm_ball_table(table, key).diameter
             diam = cache[key]
@@ -300,8 +290,7 @@ def transvection_diameter(n: int, p: int, cap: int = 10**6) -> dict:
     """Exact diameter of SL_n(F_p) with respect to the conjugacy class of the
     transvection E_1n(1), reported next to rank/2 for scale."""
     table = enumerate_group(n, p, cap)
-    field = GF(p)
-    g = elementary(field, n, 1, n, 1)
+    g = elementary(GF(p), n, 1, n, 1)
     cls = table.class_of[table.index_of(g)]
     norm = norm_ball_table(table, (cls,))
     return {

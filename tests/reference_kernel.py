@@ -4,9 +4,15 @@ These are the scalar routines ``slword.matrix`` used before it moved to flat
 int kernels: rows are tuples of ``Fraction`` or ``Fp`` objects and every
 operation goes through the scalars' own operators.  They are slow but
 obviously correct, and ``test_kernel.py`` checks the int kernels against them.
+
+``norms_by_element_search`` is the oracle's breadth-first search as it ran
+before it moved to conjugacy classes: it grows the ball element by element,
+and ``test_oracle.py`` checks the class-level search against it.
 """
 
 from slword.fields import Field
+from slword.matrix import _mul_mod
+from slword.oracle import GroupTable, _letters
 
 
 def mul_rows(a, b, field: Field):
@@ -126,3 +132,26 @@ def rank_rows(rows):
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def norms_by_element_search(table: GroupTable, class_ids):
+    """Word norms over the chosen classes and their inverses (-1 where never
+    reached), multiplying every element of each sphere by every letter."""
+    letters = [table.elements[i] for i in _letters(table, class_ids)]
+    n, p = table.n, table.p
+    norms = [-1] * table.order
+    norms[0] = 0
+    frontier = [table.elements[0]]
+    dist = 0
+    while frontier:
+        dist += 1
+        nxt = []
+        for e in frontier:
+            for l in letters:
+                prod = _mul_mod(e, l, n, p)
+                i = table.index[prod]
+                if norms[i] == -1:
+                    norms[i] = dist
+                    nxt.append(prod)
+        frontier = nxt
+    return norms

@@ -590,15 +590,27 @@ GOLDEN_ORACLE_REPORTS = [
     ("delta --n 3 --p 2", "f6bd006ba3a67d1a59c4572c6ab5a3b037a84d0b921b567f29c1d0944f9ea6a8"),
     ("transvection --n 3 --p 2",
      "7fda2899daf68eb3e7afe7400b6490719e9464948d240f45090ce2b230810525"),
+    # recorded from the element-level search, before it ran over classes
+    ("delta --n 2 --p 5", "b97d6f41edf76b7b6db77c40d93de8a06da4480a6fff20028ee7f1ba85a95031"),
+    ("delta --n 2 --p 7", "329a8780bf49d4c30d8c787a862cbb099b7d069fd7c2a3878dba9b3437776ec5"),
 ]
 
 
 @pytest.mark.parametrize("request_args,digest", GOLDEN_ORACLE_REPORTS,
-                         ids=["diameter", "diameter-classes", "delta", "transvection"])
+                         ids=["diameter", "diameter-classes", "delta", "transvection",
+                              "delta-SL2F5", "delta-SL2F7"])
 def test_oracle_output_is_byte_identical_to_golden(capsys, request_args, digest):
     code, stdout, _ = run_cli(["oracle", *request_args.split()], capsys)
     assert code == 0
     assert_golden(stdout, digest)
+
+
+@pytest.mark.parametrize("action", ["diameter", "delta", "transvection"])
+@pytest.mark.parametrize("n", ["1", "0", "-2"])
+def test_oracle_rejects_a_dimension_below_2(action, n, capsys):
+    code, stdout, stderr = run_cli(["oracle", action, "--n", n, "--p", "5"], capsys)
+    assert code == 3 and stdout == ""
+    assert stderr == f"error: dimension must be >= 2, got {n}\n"
 
 
 def test_oracle_cap_exceeded_is_exit_4(capsys):

@@ -1,11 +1,15 @@
 from itertools import combinations
+from random import Random
 
 import pytest
+from reference_kernel import norms_by_element_search
 
 from slword import (
     GF,
+    GeneratingSet,
     SLMatrix,
     brute_force_elements,
+    decompose_full,
     delta,
     elementary,
     enumerate_group,
@@ -13,7 +17,9 @@ from slword import (
     normally_generates,
     norms_by_fixed_point,
     transvection_diameter,
+    verify_certificate,
 )
+from slword import oracle
 from slword.oracle import GroupSizeCapExceeded, _letters
 
 
@@ -120,6 +126,48 @@ def test_bfs_agrees_with_fixed_point():
     assert seen == {True, False}
 
 
+def class_set_closures(table):
+    """Every distinct class set closed under inverses, as delta searches them."""
+    m = len(table.classes)
+    return sorted({
+        tuple(sorted(set(s) | {table.class_inverse[c] for c in s}))
+        for k in range(1, m + 1)
+        for s in combinations(range(m), k)
+    })
+
+
+@pytest.mark.parametrize("n,p,every_closure", [
+    (2, 3, True), (2, 5, True), (3, 2, True),
+    (2, 7, False), (2, 11, False), (2, 13, False),
+], ids=["SL2F3-closures", "SL2F5-closures", "SL3F2-closures",
+        "SL2F7-classes", "SL2F11-classes", "SL2F13-classes"])
+def test_class_search_agrees_with_element_search_and_fixed_point(n, p, every_closure, monkeypatch):
+    # every class-set closure of the small groups and every single class of
+    # the larger ones: the class-level norms equal the element-level ball
+    # growth and the fixed-point relaxation, and each class the search
+    # reaches is multiplied by each letter exactly once
+    table = enumerate_group(n, p)
+    mul = oracle._mul_mod
+    products = 0
+
+    def counting_mul(*args):
+        nonlocal products
+        products += 1
+        return mul(*args)
+
+    sets = class_set_closures(table) if every_closure else [(c,) for c in range(len(table.classes))]
+    for class_ids in sets:
+        products = 0
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_mul_mod", counting_mul)
+            nt = norm_ball_table(table, class_ids)
+        ref = norms_by_element_search(table, class_ids)
+        assert nt.norms == ref == norms_by_fixed_point(table, class_ids)
+        assert nt.diameter == (None if -1 in ref else max(ref))
+        reached = {table.class_of[i] for i, v in enumerate(ref) if v != -1}
+        assert products == len(reached) * len(_letters(table, class_ids))
+
+
 def test_norm_table_rejects_non_generating_classes():
     table = enumerate_group(2, 3)
     # total on class sets: a non-generating set has no diameter
@@ -198,3 +246,20 @@ def test_transvection_diameter_sl3_f3():
     rep = transvection_diameter(3, 3)
     assert rep["order"] == 5616
     assert rep["diameter"] == 3
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_certified_lengths_bound_the_exact_norms(p):
+    # a certificate over X = {E_12(1)} is a word in conjugates of X, so its
+    # length is at least the exact norm over the class of E_12(1)
+    field = GF(p)
+    rng = Random(p)
+    table = enumerate_group(2, p)
+    x = elementary(field, 2, 1, 2, 1)
+    X = GeneratingSet.of([x])
+    norms = norm_ball_table(table, (table.class_of[table.index_of(x)],)).norms
+    for _ in range(20):
+        g = table.matrix(rng.randrange(table.order))
+        cert = decompose_full(g, X, rng)
+        assert verify_certificate(cert)
+        assert cert.length >= norms[table.index_of(g)]
