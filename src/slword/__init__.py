@@ -11,7 +11,6 @@ from .bruhat import (
     SearchBudgetExceeded,
     big_cell_decompose,
     bruhat_decompose,
-    in_big_cell,
     split_over_big_cell,
 )
 from .certificate import (
@@ -44,7 +43,6 @@ from .matrix import (
     conjugate,
     is_central,
     is_diagonal,
-    is_lower_unitriangular,
     is_upper_triangular,
     is_upper_unitriangular,
     leading_principal_minors,
@@ -69,12 +67,10 @@ from .rootdata import (
     coroot,
     elementary,
     longest_element_rep,
-    reduced_word,
-    simple_reflection_rep,
     standard_generators,
     weyl_representative,
 )
-from .torus import coroot_coordinates, sl2_coroot_factor, torus_factor
+from .torus import sl2_coroot_factor, torus_factor
 from .unipotent import (
     diagonalize_in_borel,
     solve_twisted_conjugation,

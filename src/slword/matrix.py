@@ -372,17 +372,8 @@ def is_upper_triangular(g: SLMatrix) -> bool:
     return not any(es[i * n + j] for i in range(n) for j in range(i))
 
 
-def is_lower_triangular(g: SLMatrix) -> bool:
-    n, es = g.n, g.entries
-    return not any(es[i * n + j] for i in range(n) for j in range(i + 1, n))
-
-
 def is_upper_unitriangular(g: SLMatrix) -> bool:
     return is_upper_triangular(g) and all(e == g.den for e in g.entries[:: g.n + 1])
-
-
-def is_lower_unitriangular(g: SLMatrix) -> bool:
-    return is_lower_triangular(g) and all(e == g.den for e in g.entries[:: g.n + 1])
 
 
 def is_central(g: SLMatrix) -> bool:

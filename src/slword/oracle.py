@@ -2,10 +2,9 @@
 conjugacy classes, exact conjugate-word norms, diameters and the invariants
 Delta / Delta_k.
 
-Elements are stored as flat row-major tuples of residues, the form
-:class:`SLMatrix` itself stores over F_p, so the breadth-first searches run on
-the matrix module's F_p kernels directly; :class:`SLMatrix` objects appear
-only at the API boundary.
+Elements are flat row-major tuples of residues, as :class:`SLMatrix` stores
+them over F_p, so the breadth-first searches run on the matrix module's F_p
+kernels; :class:`SLMatrix` objects appear only at the API boundary.
 
 Word norms here are with respect to a set of conjugacy classes: the letter
 set of a class selection is the union of the chosen classes and their inverse
@@ -13,8 +12,8 @@ classes (a word may use conjugates of generators and of their inverses), and
 the norm of g is the least number of letters multiplying to g.  The letters
 are closed under conjugation, so each sphere is a union of classes and
 gxg^-1 * letters = g (x * letters) g^-1: ``norm_ball_table`` grows the ball
-over classes, one representative each, once per class set, for the norms,
-generation and the diameter.  ``norms_by_fixed_point``, a deliberately
+over classes, one representative each, once per class set, and stops once
+every class is reached.  ``norms_by_fixed_point``, a deliberately
 different Bellman-style relaxation over the whole group, exists purely to
 cross-check it.
 
@@ -85,10 +84,16 @@ class GroupTable:
 
 def enumerate_group(n: int, p: int, cap: int = 10**6) -> GroupTable:
     """Enumerate SL_n(F_p) by closure from the elementary generators
-    E_{i,i+1}(1), E_{i+1,i}(1); raises GroupSizeCapExceeded past ``cap``."""
+    E_{i,i+1}(1), E_{i+1,i}(1).  An order past ``cap``, known as
+    prod_{k=2..n} p^(k-1) (p^k - 1), raises GroupSizeCapExceeded at once."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    gens = [g.entries for g in standard_generators(GF(p), n)]
+    field, order = GF(p), 1
+    for k in range(2, n + 1):
+        order *= p ** (k - 1) * (p**k - 1)
+        if order > cap:
+            raise GroupSizeCapExceeded(f"SL_{n}(F_{p}) exceeds the cap of {cap} elements")
+    gens = [g.entries for g in standard_generators(field, n)]
     ident = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
     elements = [ident]
@@ -100,10 +105,6 @@ def enumerate_group(n: int, p: int, cap: int = 10**6) -> GroupTable:
             for g in gens:
                 prod = _mul_mod(e, g, n, p)
                 if prod not in index:
-                    if len(elements) >= cap:
-                        raise GroupSizeCapExceeded(
-                            f"SL_{n}(F_{p}) exceeds the cap of {cap} elements"
-                        )
                     index[prod] = len(elements)
                     elements.append(prod)
                     nxt.append(prod)
@@ -177,16 +178,18 @@ class NormTable:
 def norm_ball_table(table: GroupTable, class_ids) -> NormTable:
     """Word norms over the chosen classes and their inverses, by ball growth
     over classes, one representative each: gxg^-1 * letters = g (x * letters)
-    g^-1 as the letters are conjugation-closed.  Total on class sets: the
-    diameter is None when some element is never reached; only an unknown
-    class index raises ``ValueError``."""
+    g^-1 as the letters are conjugation-closed.  It stops once no class is
+    unreached, so the last sphere, at the diameter, is not expanded; the
+    diameter is None if the frontier empties first.  Only an unknown class
+    index raises ``ValueError``."""
     letters = [table.elements[i] for i in _letters(table, class_ids)]
     n, p = table.n, table.p
     cnorm = [-1] * len(table.classes)
     cnorm[0] = 0  # class 0 is the identity's
     frontier = [0]
     dist = 0
-    while frontier:
+    unreached = len(cnorm) - 1
+    while frontier and unreached:
         dist += 1
         nxt = []
         for c in frontier:
@@ -196,9 +199,10 @@ def norm_ball_table(table: GroupTable, class_ids) -> NormTable:
                 if cnorm[d] == -1:
                     cnorm[d] = dist
                     nxt.append(d)
+        unreached -= len(nxt)
         frontier = nxt
     norms = [cnorm[c] for c in table.class_of]
-    diameter = None if -1 in cnorm else max(cnorm)
+    diameter = None if unreached else dist
     return NormTable(class_ids=tuple(sorted(set(class_ids))), norms=norms, diameter=diameter)
 
 

@@ -134,6 +134,12 @@ def rank_rows(rows):
     return rank
 
 
+def is_lower_unitriangular(g) -> bool:
+    """Ones on the diagonal and zeros above it, read off the scalar rows."""
+    rows, f = g.rows, g.field
+    return all(rows[i][j] == (f.one if i == j else f.zero) for i in range(g.n) for j in range(i, g.n))
+
+
 def norms_by_element_search(table: GroupTable, class_ids):
     """Word norms over the chosen classes and their inverses (-1 where never
     reached), multiplying every element of each sphere by every letter."""

@@ -12,13 +12,13 @@ from slword import (
     bruhat_decompose,
     brute_force_elements,
     elementary,
-    in_big_cell,
     leading_principal_minors,
     longest_element_rep,
     mat_product,
     random_sl,
     split_over_big_cell,
 )
+from slword.bruhat import in_big_cell
 from slword.rootdata import inverse_perm, longest_perm
 
 

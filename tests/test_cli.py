@@ -25,7 +25,7 @@ from slword import (
     matrix_to_json,
     substitute_certificate,
 )
-from slword import cli
+from slword import cli, oracle
 from slword.cli import _dumps, main
 
 
@@ -616,6 +616,24 @@ def test_oracle_rejects_a_dimension_below_2(action, n, capsys):
 def test_oracle_cap_exceeded_is_exit_4(capsys):
     code, _, _ = run_cli(["oracle", "diameter", "--n", "2", "--p", "5", "--cap", "10"], capsys)
     assert code == 4
+
+
+@pytest.mark.parametrize("action", ["diameter", "delta", "transvection"])
+def test_oracle_refuses_an_over_cap_group_before_enumerating(action, capsys, monkeypatch):
+    # |SL(4,3)| = 12,130,560 is known from its formula, so no product is formed
+    def refuse(*args):
+        raise AssertionError("a product was formed for a group over the cap")
+
+    monkeypatch.setattr(oracle, "_mul_mod", refuse)
+    code, stdout, stderr = run_cli(["oracle", action, "--n", "4", "--p", "3"], capsys)
+    assert code == 4 and stdout == ""
+    assert stderr == "error: SL_4(F_3) exceeds the cap of 1000000 elements\n"
+
+
+@pytest.mark.parametrize("cap,code", [("119", 4), ("120", 0)])
+def test_oracle_cap_admits_a_group_of_exactly_its_order(cap, code, capsys):
+    # |SL(2,5)| = 120
+    assert run_cli(["oracle", "delta", "--n", "2", "--p", "5", "--cap", cap], capsys)[0] == code
 
 
 def test_seed_env_var_fallback(tmp_path, target_file, genset_file, capsys, monkeypatch):

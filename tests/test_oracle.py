@@ -32,9 +32,12 @@ def test_enumeration_agrees_with_brute_force(n, p, order):
 
 
 def test_known_order_formula():
-    # |SL_2(F_q)| = q(q^2 - 1)
-    assert enumerate_group(2, 7).order == 7 * 48
-    assert enumerate_group(2, 11).order == 11 * 120
+    # |SL_n(F_p)| = p^(n(n-1)/2) (p^2 - 1) ... (p^n - 1), the order the cap is checked against
+    for n, p in [(2, 3), (2, 5), (2, 7), (3, 2), (2, 11)]:
+        order = p ** (n * (n - 1) // 2)
+        for k in range(2, n + 1):
+            order *= p**k - 1
+        assert enumerate_group(n, p).order == order
 
 
 def test_cap_is_enforced():
@@ -145,7 +148,8 @@ def test_class_search_agrees_with_element_search_and_fixed_point(n, p, every_clo
     # every class-set closure of the small groups and every single class of
     # the larger ones: the class-level norms equal the element-level ball
     # growth and the fixed-point relaxation, and each class the search
-    # reaches is multiplied by each letter exactly once
+    # expands is multiplied by each letter exactly once; a generating search
+    # stops once every class is reached, so the last sphere is not expanded
     table = enumerate_group(n, p)
     mul = oracle._mul_mod
     products = 0
@@ -164,8 +168,8 @@ def test_class_search_agrees_with_element_search_and_fixed_point(n, p, every_clo
         ref = norms_by_element_search(table, class_ids)
         assert nt.norms == ref == norms_by_fixed_point(table, class_ids)
         assert nt.diameter == (None if -1 in ref else max(ref))
-        reached = {table.class_of[i] for i, v in enumerate(ref) if v != -1}
-        assert products == len(reached) * len(_letters(table, class_ids))
+        expanded = {table.class_of[i] for i, v in enumerate(ref) if v != -1 and v != nt.diameter}
+        assert products == len(expanded) * len(_letters(table, class_ids))
 
 
 def test_norm_table_rejects_non_generating_classes():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from reference_kernel import is_lower_unitriangular
 
 from slword import (
     GF,
@@ -10,15 +11,12 @@ from slword import (
     coroot,
     elementary,
     is_diagonal,
-    is_lower_unitriangular,
     longest_element_rep,
     mat_product,
-    reduced_word,
-    simple_reflection_rep,
     standard_generators,
     weyl_representative,
 )
-from slword.rootdata import identity_perm, longest_perm
+from slword.rootdata import identity_perm, longest_perm, reduced_word, simple_reflection_rep
 
 
 def test_elementary_basics():

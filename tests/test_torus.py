@@ -9,12 +9,12 @@ from slword import (
     Fp,
     SLMatrix,
     coroot,
-    coroot_coordinates,
     elementary,
     mat_product,
     sl2_coroot_factor,
     torus_factor,
 )
+from slword.torus import coroot_coordinates
 
 
 def four_factor_product(field, x):
