@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--classes", help="comma-separated class indices (diameter; default all)")
     o.add_argument("--max-classes", type=int, default=None, help="report delta_k up to this k")
     o.add_argument("--cap", type=int, default=10**6, help="largest group order to enumerate")
-    o.add_argument("--subset-cap", type=int, default=2**20, help="largest class-subset count for delta")
+    o.add_argument("--subset-cap", type=int, default=2**20, help="refuse delta if 2^(m-1) > this, for m classes")
     o.set_defaults(func=cmd_oracle)
     return parser
 

@@ -353,11 +353,6 @@ def conjugate(g: SLMatrix, c: SLMatrix) -> SLMatrix:
     return mat_product([c, g, c.inverse()])
 
 
-def commutator(g: SLMatrix, h: SLMatrix) -> SLMatrix:
-    """g h g^-1 h^-1."""
-    return mat_product([g, h, g.inverse(), h.inverse()])
-
-
 # shape predicates, on the flat entries: an entry is zero iff its int is 0,
 # and equals 1 iff its int equals den
 

@@ -11,15 +11,16 @@ set of a class selection is the union of the chosen classes and their inverse
 classes (a word may use conjugates of generators and of their inverses), and
 the norm of g is the least number of letters multiplying to g.  The letters
 are closed under conjugation, so each sphere is a union of classes and
-gxg^-1 * letters = g (x * letters) g^-1: ``norm_ball_table`` grows the ball
-over classes, one representative each, once per class set, and stops once
-every class is reached.  ``norms_by_fixed_point``, a deliberately
-different Bellman-style relaxation over the whole group, exists purely to
-cross-check it.
+gxg^-1 * letters = g (x * letters) g^-1: ``norm_ball_table`` reads sphere 1
+off the letters' classes, grows the ball over classes, one representative
+each, and stops once every class is reached.  ``norms_by_fixed_point``, a
+deliberately different Bellman-style relaxation over the whole group, exists
+purely to cross-check it.
 
 Delta is computable for a finite group because a norm only depends on which
 conjugacy classes the generating set touches: the supremum over all finite
-normally generating sets is a maximum over the finitely many class subsets.
+normally generating sets is a maximum over the finitely many class subsets;
+``delta`` leaves out class 0, the identity's, which adds no letter.
 Results over finite fields are consistency evidence for the factorization
 pipeline, not statements about infinite fields; reports label them as such.
 """
@@ -77,9 +78,6 @@ class GroupTable:
         if g.field.p != self.p or g.n != self.n:
             raise ValueError("dimension/field mismatch")
         return self.index[g.entries]
-
-    def central_class_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, cls in enumerate(self.classes) if len(cls) == 1)
 
 
 def enumerate_group(n: int, p: int, cap: int = 10**6) -> GroupTable:
@@ -178,17 +176,21 @@ class NormTable:
 def norm_ball_table(table: GroupTable, class_ids) -> NormTable:
     """Word norms over the chosen classes and their inverses, by ball growth
     over classes, one representative each: gxg^-1 * letters = g (x * letters)
-    g^-1 as the letters are conjugation-closed.  It stops once no class is
-    unreached, so the last sphere, at the diameter, is not expanded; the
-    diameter is None if the frontier empties first.  Only an unknown class
-    index raises ``ValueError``."""
-    letters = [table.elements[i] for i in _letters(table, class_ids)]
+    g^-1 as the letters are conjugation-closed.  Sphere 1 is the letters'
+    classes, found with no product.  It stops once no class is unreached, so
+    the last sphere, at the diameter, is not expanded; the diameter is None
+    if the frontier empties first.  Only an unknown class index raises
+    ``ValueError``."""
+    letter_ids = _letters(table, class_ids)
+    letters = [table.elements[i] for i in letter_ids]
+    frontier = sorted({table.class_of[i] for i in letter_ids})
     n, p = table.n, table.p
     cnorm = [-1] * len(table.classes)
     cnorm[0] = 0  # class 0 is the identity's
-    frontier = [0]
-    dist = 0
-    unreached = len(cnorm) - 1
+    for c in frontier:
+        cnorm[c] = 1
+    dist = 1
+    unreached = len(cnorm) - 1 - len(frontier)
     while frontier and unreached:
         dist += 1
         nxt = []
@@ -250,20 +252,18 @@ class DeltaReport:
     delta: int
     delta_k: list[int]  # delta_k[k-1] = max diameter over generating subsets of <= k classes
     witnesses: list[tuple[int, ...]]  # subsets achieving delta
-    results: list[SubsetResult]
+    results: list[SubsetResult]  # one row per subset of classes 1..m-1
 
 
 def delta(table: GroupTable, max_classes: int | None = None, subset_cap: int = 2**20) -> DeltaReport:
-    """Exact Delta and Delta_k by enumerating every class subset.
-
-    A finite normally generating set is interchangeable with the set of
-    conjugacy classes it touches, and the inverse classes are free, so the
-    supremum over all finite sets is the maximum over class subsets; a set of
+    """Exact Delta and Delta_k over the 2^(m-1) - 1 nonempty subsets of
+    classes 1..m-1; class 0, the identity's, adds no letter.  Inverse classes
+    are free, so each subset is searched as its inverse closure, and a set of
     at most k elements touches at most k classes, giving Delta_k.
     """
     m = len(table.classes)
-    if 2**m > subset_cap:
-        raise GroupSizeCapExceeded(f"2^{m} class subsets exceed the cap of {subset_cap}")
+    if 2 ** (m - 1) > subset_cap:
+        raise GroupSizeCapExceeded(f"2^{m - 1} class subsets exceed the cap of {subset_cap}")
     kmax = m if max_classes is None else min(max_classes, m)
 
     results = []
@@ -271,8 +271,8 @@ def delta(table: GroupTable, max_classes: int | None = None, subset_cap: int = 2
     best = 0
     best_k = [0] * kmax
     witnesses = []
-    for k in range(1, m + 1):
-        for subset in combinations(range(m), k):
+    for k in range(1, m):
+        for subset in combinations(range(1, m), k):
             key = tuple(sorted(set(subset) | {table.class_inverse[c] for c in subset}))
             if key not in cache:
                 cache[key] = norm_ball_table(table, key).diameter

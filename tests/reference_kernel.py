@@ -8,11 +8,16 @@ obviously correct, and ``test_kernel.py`` checks the int kernels against them.
 ``norms_by_element_search`` is the oracle's breadth-first search as it ran
 before it moved to conjugacy classes: it grows the ball element by element,
 and ``test_oracle.py`` checks the class-level search against it.
+``delta_over_every_subset`` is ``delta`` as it ran before it left out class
+0: it searches every class subset, the identity's class included, each from
+the identity, and ``test_oracle.py`` checks ``delta`` against it.
 """
 
+from itertools import combinations
+
 from slword.fields import Field
-from slword.matrix import _mul_mod
-from slword.oracle import GroupTable, _letters
+from slword.matrix import _mul_mod, mat_product
+from slword.oracle import DeltaReport, GroupTable, SubsetResult, _letters
 
 
 def mul_rows(a, b, field: Field):
@@ -134,6 +139,16 @@ def rank_rows(rows):
     return rank
 
 
+def commutator(g, h):
+    """g h g^-1 h^-1."""
+    return mat_product([g, h, g.inverse(), h.inverse()])
+
+
+def central_class_indices(table: GroupTable):
+    """Positions of the classes of one element each."""
+    return tuple(i for i, cls in enumerate(table.classes) if len(cls) == 1)
+
+
 def is_lower_unitriangular(g) -> bool:
     """Ones on the diagonal and zeros above it, read off the scalar rows."""
     rows, f = g.rows, g.field
@@ -161,3 +176,55 @@ def norms_by_element_search(table: GroupTable, class_ids):
                     nxt.append(prod)
         frontier = nxt
     return norms
+
+
+def diameter_from_identity(table: GroupTable, class_ids):
+    """The class-level ball growth with sphere 1 found by multiplying the
+    identity by every letter; None when the letters do not generate."""
+    letters = [table.elements[i] for i in _letters(table, class_ids)]
+    n, p = table.n, table.p
+    cnorm = [-1] * len(table.classes)
+    cnorm[0] = 0
+    frontier = [0]
+    dist = 0
+    while frontier:
+        dist += 1
+        nxt = []
+        for c in frontier:
+            x = table.elements[table.classes[c][0]]
+            for l in letters:
+                d = table.class_of[table.index[_mul_mod(x, l, n, p)]]
+                if cnorm[d] == -1:
+                    cnorm[d] = dist
+                    nxt.append(d)
+        frontier = nxt
+    return None if -1 in cnorm else max(cnorm)
+
+
+def delta_over_every_subset(table: GroupTable, max_classes=None) -> DeltaReport:
+    """Delta and Delta_k over all 2^m - 1 nonempty class subsets, with a row
+    for each and class 0 included."""
+    m = len(table.classes)
+    kmax = m if max_classes is None else min(max_classes, m)
+    results = []
+    cache = {}
+    best = 0
+    best_k = [0] * kmax
+    witnesses = []
+    for k in range(1, m + 1):
+        for subset in combinations(range(m), k):
+            key = tuple(sorted(set(subset) | {table.class_inverse[c] for c in subset}))
+            if key not in cache:
+                cache[key] = diameter_from_identity(table, key)
+            diam = cache[key]
+            results.append(SubsetResult(class_ids=subset, generates=diam is not None, diameter=diam))
+            if diam is None:
+                continue
+            if diam > best:
+                best, witnesses = diam, [subset]
+            elif diam == best:
+                witnesses.append(subset)
+            for kk in range(k - 1, kmax):
+                if diam > best_k[kk]:
+                    best_k[kk] = diam
+    return DeltaReport(delta=best, delta_k=best_k, witnesses=witnesses, results=results)

@@ -571,7 +571,11 @@ def test_oracle_delta_report(capsys):
     report = json.loads(stdout)
     assert report["delta"] == 3
     assert report["delta_k"][0] == 3
-    assert len(report["results"]) == 2**7 - 1
+    # one row per nonempty subset of classes 1..6: class 0, the identity's,
+    # adds no letter, so delta leaves it out
+    assert len(report["results"]) == 2**6 - 1
+    assert all(0 not in r["classSet"] for r in report["results"])
+    assert all(0 not in w for w in report["witnesses"])
 
 
 def test_oracle_transvection_report(capsys):
@@ -582,17 +586,19 @@ def test_oracle_transvection_report(capsys):
 
 
 # SHA-256 of the stdout of `oracle ...`, as written with indent=2 when each
-# class set was searched twice and `transvection` enumerated the group twice
+# class set was searched twice and `transvection` enumerated the group twice;
+# the delta digests are of those reports with every row and witness that
+# contains class 0 removed, since delta no longer lists those subsets
 GOLDEN_ORACLE_REPORTS = [
     ("diameter --n 2 --p 5", "1ac034bbcc347937779dab3c31d3ccc04f099a6f3523be9791645c3854d0d719"),
     ("diameter --n 2 --p 3 --classes 3",
      "6060a843b193393eec7e07ad783f582bac3a9f4866542edcd1ca5a01cf51a75a"),
-    ("delta --n 3 --p 2", "f6bd006ba3a67d1a59c4572c6ab5a3b037a84d0b921b567f29c1d0944f9ea6a8"),
+    ("delta --n 3 --p 2", "8d5d15e040017e16165e20cef85cab718ff75e8905437b8db9e8f720c1c29bc1"),
     ("transvection --n 3 --p 2",
      "7fda2899daf68eb3e7afe7400b6490719e9464948d240f45090ce2b230810525"),
-    # recorded from the element-level search, before it ran over classes
-    ("delta --n 2 --p 5", "b97d6f41edf76b7b6db77c40d93de8a06da4480a6fff20028ee7f1ba85a95031"),
-    ("delta --n 2 --p 7", "329a8780bf49d4c30d8c787a862cbb099b7d069fd7c2a3878dba9b3437776ec5"),
+    # first recorded from the element-level search, before it ran over classes
+    ("delta --n 2 --p 5", "ae4486e7e3d7257f7314f8f9277f99b627e121a38539bd778b7671cf4abeb9e3"),
+    ("delta --n 2 --p 7", "695ed9a822a4a764edd073edce4a2e2997497589ffc844657e07d49f92d256a8"),
 ]
 
 
@@ -634,6 +640,16 @@ def test_oracle_refuses_an_over_cap_group_before_enumerating(action, capsys, mon
 def test_oracle_cap_admits_a_group_of_exactly_its_order(cap, code, capsys):
     # |SL(2,5)| = 120
     assert run_cli(["oracle", "delta", "--n", "2", "--p", "5", "--cap", cap], capsys)[0] == code
+
+
+@pytest.mark.parametrize("cap,code", [("255", 4), ("256", 0)])
+def test_oracle_subset_cap_counts_the_subsets_delta_searches(cap, code, capsys):
+    # SL(2,5) has 9 classes; delta searches the subsets of classes 1..8
+    rc, stdout, stderr = run_cli(["oracle", "delta", "--n", "2", "--p", "5", "--subset-cap", cap], capsys)
+    assert rc == code
+    if code == 4:
+        assert stdout == ""
+        assert stderr == "error: 2^8 class subsets exceed the cap of 255\n"
 
 
 def test_seed_env_var_fallback(tmp_path, target_file, genset_file, capsys, monkeypatch):

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_kernel import commutator
 
 from slword import (
     GF,
     QQ,
     SLMatrix,
-    commutator,
     conjugate,
     is_central,
     leading_principal_minors,

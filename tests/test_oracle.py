@@ -2,7 +2,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from reference_kernel import norms_by_element_search
+from reference_kernel import central_class_indices, delta_over_every_subset, norms_by_element_search
 
 from slword import (
     GF,
@@ -67,7 +67,7 @@ def test_table_structure(rng):
 def test_central_classes_of_sl2_f3():
     table = enumerate_group(2, 3)
     assert len(table.classes) == 7
-    assert table.central_class_indices() == (0, 6)
+    assert central_class_indices(table) == (0, 6)
     assert table.matrix(table.classes[6][0]) == SLMatrix.diagonal(GF(3), [2, 2])
 
 
@@ -130,7 +130,8 @@ def test_bfs_agrees_with_fixed_point():
 
 
 def class_set_closures(table):
-    """Every distinct class set closed under inverses, as delta searches them."""
+    """Every distinct class set closed under inverses; delta searches those
+    without class 0."""
     m = len(table.classes)
     return sorted({
         tuple(sorted(set(s) | {table.class_inverse[c] for c in s}))
@@ -148,7 +149,8 @@ def test_class_search_agrees_with_element_search_and_fixed_point(n, p, every_clo
     # every class-set closure of the small groups and every single class of
     # the larger ones: the class-level norms equal the element-level ball
     # growth and the fixed-point relaxation, and each class the search
-    # expands is multiplied by each letter exactly once; a generating search
+    # expands is multiplied by each letter exactly once; sphere 1 is read off
+    # the letters, so the identity is never expanded, and a generating search
     # stops once every class is reached, so the last sphere is not expanded
     table = enumerate_group(n, p)
     mul = oracle._mul_mod
@@ -168,7 +170,7 @@ def test_class_search_agrees_with_element_search_and_fixed_point(n, p, every_clo
         ref = norms_by_element_search(table, class_ids)
         assert nt.norms == ref == norms_by_fixed_point(table, class_ids)
         assert nt.diameter == (None if -1 in ref else max(ref))
-        expanded = {table.class_of[i] for i, v in enumerate(ref) if v != -1 and v != nt.diameter}
+        expanded = {table.class_of[i] for i, v in enumerate(ref) if v not in (-1, 0, nt.diameter)}
         assert products == len(expanded) * len(_letters(table, class_ids))
 
 
@@ -214,6 +216,31 @@ def test_delta_monotone_under_class_inclusion():
             if d_big is None or not set(small) <= set(big):
                 continue
             assert d_big <= d_small
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 2), (2, 7)])
+def test_delta_agrees_with_the_search_over_every_subset(n, p):
+    # delta leaves out class 0, the identity's: Delta and Delta_k are
+    # unchanged, every row it lists is the reference row for that subset,
+    # every reference row for S | {0} equals the row for S, and the witnesses
+    # are the reference witnesses without class 0
+    table = enumerate_group(n, p)
+    m = len(table.classes)
+    for k in (None, 2):
+        rep, ref = delta(table, max_classes=k), delta_over_every_subset(table, max_classes=k)
+        assert (rep.delta, rep.delta_k) == (ref.delta, ref.delta_k)
+    rows = {r.class_ids: r for r in rep.results}
+    assert len(rep.results) == len(rows) == 2 ** (m - 1) - 1
+    assert list(rows) == [r.class_ids for r in ref.results if 0 not in r.class_ids]
+    for r in ref.results:
+        if r.class_ids == (0,):
+            assert not r.generates and r.diameter is None
+        elif r.class_ids[0] == 0:
+            s = rows[r.class_ids[1:]]
+            assert (r.generates, r.diameter) == (s.generates, s.diameter)
+        else:
+            assert rows[r.class_ids] == r
+    assert rep.witnesses == [w for w in ref.witnesses if 0 not in w]
 
 
 def test_ball_composition_bound_exhaustive_sl2_f3():

@@ -6,7 +6,6 @@ from slword import (
     GF,
     QQ,
     SLMatrix,
-    commutator,
     diagonalize_in_borel,
     elementary,
     mat_product,
