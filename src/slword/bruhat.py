@@ -1,5 +1,5 @@
 """Bruhat and big-cell decompositions in SL_n, plus the open-cell splitting
-used by the factorization pipeline.
+of the seven-block route.
 
 Big cell: g lies in U- T U exactly when all leading principal minors of g are
 nonzero, and then g = lower * diag * upper uniquely (LDU elimination without
@@ -11,11 +11,9 @@ requiring u[i][j] = 0 whenever i < j and w^-1(i) < w^-1(j), which the
 elimination below produces automatically.  The representative of w is the
 pinned one from :mod:`slword.rootdata`, so all sign bookkeeping lands in b.
 
-``split_over_big_cell`` writes g = h * h' with h' in U- T U and h^-1 in
-U- T U.  Such a splitting always exists over an infinite field because the
-valid h' form a dense open set; we search for one (random big-cell elements of
-growing height, interleaved with a deterministic one-parameter family) and
-verify both memberships exactly before returning.
+``split_over_big_cell`` writes g = h * h' with h' and h^-1 in U- T U.  Such a
+splitting always exists over an infinite field because the valid h' form a
+dense open set.
 """
 
 from __future__ import annotations
@@ -186,14 +184,6 @@ def split_over_big_cell(g: SLMatrix, rng: Random, budget: int = 10_000) -> tuple
     identity is tried first, which succeeds whenever g^-1 is already in the
     big cell.  Each success is verified exactly before returning.
     """
-    h, hp, _ = _split_with_attempts(g, rng, budget)
-    return h, hp
-
-
-def _split_with_attempts(
-    g: SLMatrix, rng: Random, budget: int = 10_000
-) -> tuple[SLMatrix, SLMatrix, int]:
-    """``split_over_big_cell`` and the number of candidates it tried."""
     field, n = g.field, g.n
     g_inv = g.inverse()
     for attempt in range(budget):
@@ -207,5 +197,5 @@ def _split_with_attempts(
         if in_big_cell(h_inv):
             h = h_inv.inverse()
             assert in_big_cell(hp) and h * hp == g
-            return h, hp, attempt + 1
+            return h, hp
     raise SearchBudgetExceeded("splitting over the big cell", budget)

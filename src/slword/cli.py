@@ -36,6 +36,7 @@ from .oracle import (
     delta,
     enumerate_group,
     norm_ball_table,
+    require_delta_subsets,
     transvection_diameter,
 )
 
@@ -70,17 +71,16 @@ def cmd_certify(args) -> int:
     if target.field != field or target.n != args.n:
         raise ValueError("--field/--n do not match the target matrix")
     seed = _resolve_seed(args)
-    rng = Random(seed)
     if args.generator:
         t = matrix_from_json(_load_json(args.generator))
-        cert = replace(decompose_via_sourour(target, t, rng, args.budget), seed=seed, bound_claimed=14)
+        cert = replace(decompose_via_sourour(target, t), seed=seed, bound_claimed=14)
     else:
         raw = _load_json(args.genset)
         mats = raw["matrices"] if isinstance(raw, dict) else raw
         if not isinstance(mats, list):
             raise ValueError(f"--genset must hold a JSON list of matrices, not {type(mats).__name__}")
         X = GeneratingSet.of(matrix_from_json(m) for m in mats)
-        cert = decompose_full(target, X, rng, args.budget, seed=seed)
+        cert = decompose_full(target, X, Random(seed), args.budget, seed=seed)
     out = _dumps(certificate_to_json(cert))
     if args.out:
         with open(args.out, "w") as f:
@@ -95,7 +95,7 @@ def cmd_certify(args) -> int:
 
 
 def _describe_searches(stats: dict) -> str:
-    """The route and the attempts of each search, for the stderr summary."""
+    """The route and the t search's attempts, for the stderr summary."""
     parts = [f"route {stats['route']}"]
     if "radius" in stats:
         parts.append(
@@ -103,10 +103,6 @@ def _describe_searches(stats: dict) -> str:
             f"({stats['cell_misses']} outside the open cell, "
             f"{stats['diagonal_retries']} pairs with a repeated diagonal)"
         )
-    if "basis_attempts" in stats:
-        parts.append(f"basis search {stats['basis_attempts']} attempts")
-    if "split_attempts" in stats:
-        parts.append(f"big-cell split {stats['split_attempts']} attempts")
     return "; ".join(parts)
 
 
@@ -168,8 +164,10 @@ def cmd_oracle(args) -> int:
             class_ids = tuple(int(c) for c in args.classes.split(","))
         except ValueError:
             raise ValueError(f"--classes must be comma-separated class indices, got {args.classes!r}") from None
-    if args.action == "delta" and args.max_classes is not None and args.max_classes < 1:
-        raise ValueError(f"--max-classes must be at least 1, got {args.max_classes}")
+    if args.action == "delta":
+        if args.max_classes is not None and args.max_classes < 1:
+            raise ValueError(f"--max-classes must be at least 1, got {args.max_classes}")
+        require_delta_subsets(args.n, args.p, args.subset_cap)
     table = enumerate_group(args.n, args.p, args.cap)
     base = {
         "group": f"SL({args.n},{args.p})",
@@ -218,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--generator", help="matrix JSON file: regular upper triangular t (bound 14)")
     mode.add_argument("--genset", help="JSON file with a list of matrices (bound 56(n-1))")
     c.add_argument("--seed", type=int, default=None, help="default: $SLWORD_SEED or 0")
-    c.add_argument("--budget", type=int, default=10_000)
+    c.add_argument("--budget", type=int, default=10_000, help="cap on the regular-element search (--genset)")
     c.add_argument("--out", help="also write the certificate JSON here")
     c.set_defaults(func=cmd_certify)
 

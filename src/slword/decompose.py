@@ -9,20 +9,20 @@ The pipeline, bottom to top:
   upper triangular of diagonal (d_1^-1, ..., d_n^-1).  S is built one basis
   vector at a time: for the current matrix A pick x with x, Ax independent
   and a functional f with f(x) = 1 and f(Ax) = d_{n+1-k} / d_k, change basis
-  to (x, ker f) and recurse on the Schur complement, which must stay
-  non-scalar while its size is at least 2.  Sparse choices (x = e_j, f on two coordinates) are tried first,
-  with backtracking, then seeded random ones.  n_0^-1 L n_0 and U are upper
-  triangular with the diagonals of t and t^-1, so each is one conjugate of
-  t^{+-1} (``unipotent.diagonalize_in_borel``), and g = (c_1 t c_1^-1)
+  to (x, ker f) and go on with the Schur complement, which must stay
+  non-scalar while its size is at least 2.  The rule, ``_choices``, tries
+  x = e_j, then e_i + e_j, with f on at most two coordinates, then one
+  choice for a diagonal A.  It always holds a valid choice: the complement
+  is the scalar c only if (A - c) ker f <= span(Ax), which for each x fixes
+  c and f.  So S is built, with no search, random draw or fallback.
+  n_0^-1 L n_0 and U are upper triangular with the diagonals of
+  t and t^-1, so each is one conjugate of t^{+-1}
+  (``unipotent.diagonalize_in_borel``), and g = (c_1 t c_1^-1)
   (c_2 t^-1 c_2^-1): 2 letters.  A central g != 1 is (g E_12(-1)) E_12(1),
-  4 letters.  Sourour's theorem says such an S exists for every
-  non-central g; the search is capped at ``BASIS_ATTEMPTS`` choices, and if
-  it gives up the route falls back to ``decompose_as_conjugates_of``.  On
-  random, transvection and diagonal targets over F_5, F_7 and F_11,
-  n = 2..5, it never needed more than 7 choices.
+  4 letters.
 
 - ``decompose_via_unipotents`` and ``decompose_as_conjugates_of``: the
-  paper's route, kept as the fallback and as the tests' reference.  Any g is
+  paper's route, kept as the tests' reference.  Any g is
   a product of exactly seven conjugates of upper unitriangular matrices:
   split g = h * h' with h^-1 and h' in the big cell, factor both, and regroup
   as g = u_1^-1 * lo * t * u_2 (lo in U-, t diagonal); lo is n_0-conjugated
@@ -40,14 +40,14 @@ The pipeline, bottom to top:
   radius is 1 when the rank bound of ``smallest_radius`` lets a ball of
   radius 1 reach the open cell, and n - 1 otherwise or after a fixed run of
   misses at radius 1.  The search runs on the flat int kernel end to end and
-  builds no per-entry scalar; Sourour's basis search and
+  builds no per-entry scalar; Sourour's basis and
   ``diagonalize_in_borel`` below still work on scalar rows.
 
 - ``decompose_full``: t from the ball, g over t by ``decompose_via_sourour``,
   every t^{+-1} letter expanded through t's own certificate: at most
   2 * 4r = 8r letters over X for a non-central g and 16r for a central one,
-  so at most 8(n-1) and 16(n-1).  The claimed bound stays 56(n-1), which
-  the fallback also meets.
+  so at most 8(n-1) and 16(n-1).  The claimed bound stays the paper's
+  56(n-1).
 
 Every returned certificate is checked once, exactly, by ``require_valid``;
 the levels it is built from are not re-verified.  With a fixed seed the
@@ -57,11 +57,12 @@ whole pipeline is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
+from itertools import combinations
 from math import gcd
 from operator import mul
 from random import Random
 
-from .bruhat import SearchBudgetExceeded, _split_with_attempts, big_cell_decompose
+from .bruhat import SearchBudgetExceeded, big_cell_decompose, split_over_big_cell
 from .certificate import (
     Certificate,
     Letter,
@@ -83,10 +84,6 @@ from .unipotent import _require_regular_borel, diagonalize_in_borel, unipotent_a
 # consecutive open-cell misses after which the ball search gives up
 # radius 1 for radius n - 1
 MISSES_AT_RADIUS_1 = 64
-# (x, f) choices the basis search may try in all, and seeded random ones it
-# may try at each level once the sparse ones are spent
-BASIS_ATTEMPTS = 512
-RANDOM_PER_LEVEL = 64
 
 
 @dataclass(frozen=True)
@@ -187,17 +184,12 @@ def decompose_via_unipotents(
 ) -> list[tuple[SLMatrix, SLMatrix]]:
     """Exactly seven pairs (c, u) with u upper unitriangular and
     g = prod of c * u * c^-1 in order."""
-    return _seven_blocks(g, rng, budget)[0]
-
-
-def _seven_blocks(g: SLMatrix, rng: Random, budget: int) -> tuple[list, int]:
-    """``decompose_via_unipotents`` and the attempts its big-cell split took."""
     field, n = g.field, g.n
     ident = SLMatrix.identity(field, n)
     if g.is_identity():
-        return [(ident, ident)] * 7, 0
+        return [(ident, ident)] * 7
 
-    h, hp, split_attempts = _split_with_attempts(g, rng, budget)
+    h, hp = split_over_big_cell(g, rng, budget)
     f1 = big_cell_decompose(h.inverse())
     f2 = big_cell_decompose(hp)
     # g = u1^-1 * (t1^-1 (lo1^-1 lo2) t1) * (t1^-1 t2) * u2
@@ -234,28 +226,24 @@ def _seven_blocks(g: SLMatrix, rng: Random, budget: int) -> tuple[list, int]:
     for _, u in blocks:
         assert is_upper_unitriangular(u)
     assert mat_product([mat_product([c, u, c.inverse()]) for c, u in blocks]) == g
-    return blocks, split_attempts
+    return blocks
 
 
 def _seven_block_certificate(g: SLMatrix, t: SLMatrix, rng: Random, budget: int) -> Certificate:
-    """The paper's route over {t}, unchecked: at most 14 letters.  ``stats``
-    holds the attempts of the big-cell split (0 when none was needed)."""
-    split_attempts = 0
+    """The paper's route over {t}, unchecked: at most 14 letters."""
     if g.is_identity():
         word: tuple[Letter, ...] = ()
     elif is_upper_unitriangular(g):
         word = unipotent_as_two_conjugates(t, g).word
     else:
         letters = []
-        blocks, split_attempts = _seven_blocks(g, rng, budget)
-        for c, u in blocks:
+        for c, u in decompose_via_unipotents(g, rng, budget):
             if u.is_identity():
                 continue
             for l in unipotent_as_two_conjugates(t, u).word:
                 letters.append(Letter(c * l.conjugator, 0, l.exponent))
         word = tuple(letters)
-    return Certificate(field=g.field, n=g.n, target=g, base=(t,), word=word, bound_claimed=14,
-                       stats={"split_attempts": split_attempts})
+    return Certificate(field=g.field, n=g.n, target=g, base=(t,), word=word, bound_claimed=14)
 
 
 def _check_base(g: SLMatrix, t: SLMatrix) -> None:
@@ -278,14 +266,48 @@ def decompose_as_conjugates_of(
 # run on the flat int kernel
 
 
-def _choices(a: list, alpha, field: Field, rng: Random):
-    """(x, f) with x, ax independent, f(x) = 1 and f(ax) = alpha: first
-    x = e_j with f on at most two coordinates, then seeded random ones."""
+def _choices(a: list, alpha, field: Field):
+    """(x, f) with x, ax independent, f(x) = 1 and f(ax) = alpha for a
+    non-scalar a of size m, in order:
+    (a) x = e_j, no eigenvector; f = e_j* if a_jj = alpha, else
+        e_j* + b e_k* for each k with a_kj != 0;
+    (b) x = e_i + e_j; f on each coordinate pair where x, ax are independent;
+    (c) a diagonal, m >= 3, a_kk = alpha simple: x = e_i + e_k,
+        f = e_k* - e_j*, i < j the first indices other than k.
+
+    At m = 2 any choice does, and (a) or (b) has one.  At m >= 3 one leaves
+    a non-scalar Schur complement (in characteristic != 2; F_p has a regular
+    t only for p >= n + 2):
+    1. V = H + span(ax), H = ker f, and the complement is a on H projected
+       along ax: it is the scalar c iff (a - c)H <= span(ax).
+    2. For each x at most one f fails, none unless span(x, ax) is invariant:
+       mod ax, (a - c)v = f(v)(a - c)x = -c f(v)x; at v = ax,
+       a^2 x = -c alpha x, so c = det(a on span(x, ax)) / alpha, and c, f
+       are fixed by x.
+    3. If (ax)_l != 0 for an x = e_i + e_j, l not in {i, j}, (b) gives x
+       two f, on {i, l} and {j, l}.
+    4. Else a_li = -a_lj for distinct i, j, l: a is diagonal at m >= 4
+       (a_li = -a_lj = a_lk = -a_li).  At m = 3, non-diagonal, permute to
+       r = a_31 = -a_32 != 0.  (b) works if e_1 + e_2 is no eigenvector, as
+       span(e_1, e_2) is not invariant.  Else its eigenvalue a_11 + a_12
+       is not 0, and (a) gives e_1 an f on {1, 3}: e_2 is in H, and
+       (a - c)e_2, third entry -r, would be -ae_1, so a_12 = -a_11.
+    5. Diagonal a: e_i + e_j with a_ii != a_jj has one f, failing only if
+       every other a_ll is c = a_ii a_jj / alpha.  If all fail: three
+       distinct entries would need a_11^2 = a_22^2 = a_33^2; else a failing
+       pair has a_jj = c, say (a pair (i, l) with a_ll = c would else work),
+       so a has mu = a_ii once, c elsewhere, and alpha = mu: case (c).
+    6. (c) works: (a - c)e_i, (a - c)(e_j + e_k) lie in
+       span(a_ii e_i + alpha e_k) only if c = a_ii = alpha != a_ii.
+    So no choice is ever undone.
+    """
     m, one, zero = len(a), field.one, field.zero
+    diagonal = True
     for j in range(m):
         col = [row[j] for row in a]
         if not any(col[:j] + col[j + 1 :]):
             continue  # e_j is an eigenvector
+        diagonal = False
         x = [zero] * m
         x[j] = one
         if col[j] == alpha:
@@ -296,26 +318,30 @@ def _choices(a: list, alpha, field: Field, rng: Random):
                 f = list(x)
                 f[k] = (alpha - col[j]) / col[k]
                 yield x, f
-    for _ in range(RANDOM_PER_LEVEL):
-        x = [field.random_scalar(rng, 2) for _ in range(m)]
-        y = [sum(map(mul, row, x)) for row in a]
-        pair = next(((i, k) for i in range(m) for k in range(i + 1, m) if x[i] * y[k] != x[k] * y[i]), None)
-        if pair is None:
-            continue
-        # f random off the pair, then solved on it for f(x) = 1, f(y) = alpha
-        i, k = pair
-        f = [field.random_scalar(rng, 2) for _ in range(m)]
-        f[i] = f[k] = zero
-        b1, b2 = 1 - sum(map(mul, f, x)), alpha - sum(map(mul, f, y))
-        det = x[i] * y[k] - x[k] * y[i]
-        f[i] = (b1 * y[k] - x[k] * b2) / det
-        f[k] = (x[i] * b2 - b1 * y[i]) / det
+    for i, j in combinations(range(m), 2):
+        x = [zero] * m
+        x[i] = x[j] = one
+        y = [row[i] + row[j] for row in a]
+        for k, l in combinations(range(m), 2):
+            det = x[k] * y[l] - x[l] * y[k]
+            if det:
+                f = [zero] * m
+                f[k], f[l] = (y[l] - alpha * x[l]) / det, (alpha * x[k] - y[k]) / det
+                yield x, f
+    d = [a[i][i] for i in range(m)]
+    if diagonal and m > 2 and d.count(alpha) == 1:
+        k = d.index(alpha)
+        i, j = [r for r in range(m) if r != k][:2]
+        x, f = [zero] * m, [zero] * m
+        x[i] = x[k] = f[k] = one
+        f[j] = -one
         yield x, f
 
 
-def _sourour_search(a: list, alphas: list, field: Field, rng: Random, spent: list) -> list | None:
+def _sourour_columns(a: list, alphas: list, field: Field) -> list:
     """Columns of S with det S = 1 and S^-1 a S = L U, where L U has the
-    successive pivots alphas; None when the choices, or the attempts, run out.
+    successive pivots alphas: the first of ``_choices`` that leaves a
+    non-scalar Schur complement (any at size 2), then the same one level down.
 
     For a choice (x, f) with pivot p (the first f_p != 0), the basis is
     (s x, e_i - (f_i / f_p) e_p for i != p) with s = (-1)^p f_p, which makes
@@ -323,10 +349,7 @@ def _sourour_search(a: list, alphas: list, field: Field, rng: Random, spent: lis
     complement of that entry is the next level's matrix.
     """
     m, alpha = len(a), alphas[0]
-    for x, f in _choices(a, alpha, field, rng):
-        if spent[0] == BASIS_ATTEMPTS:
-            return None
-        spent[0] += 1
+    for x, f in _choices(a, alpha, field):
         p = next(i for i in range(m) if f[i])
         basis = [x]
         for i in range(m):
@@ -334,6 +357,9 @@ def _sourour_search(a: list, alphas: list, field: Field, rng: Random, spent: lis
                 b = [field.zero] * m
                 b[i], b[p] = field.one, -f[i] / f[p]
                 basis.append(b)
+        if m == 2:
+            sub = [[field.one]]
+            break
         # cols[j][i] is entry (i, j) of a in that basis: the coordinates of
         # a b_j are f(a b_j), then (a b_j)_i - f(a b_j) x_i for i != p
         cols = []
@@ -342,47 +368,36 @@ def _sourour_search(a: list, alphas: list, field: Field, rng: Random, spent: lis
             c0 = sum(map(mul, f, y))
             cols.append([c0] + [y[i] - c0 * x[i] for i in range(m) if i != p])
         schur = [[cols[j][i] - cols[0][i] * cols[j][0] / alpha for j in range(1, m)] for i in range(1, m)]
-        if m == 2:
-            sub = [[field.one]]
-        elif _is_scalar(schur):
-            continue
-        else:
-            sub = _sourour_search(schur, alphas[1:], field, rng, spent)
-            if sub is None:
-                continue
-        s = f[p] if p % 2 == 0 else -f[p]
-        # S = [s x | basis[1:]] * diag(1, sub)
-        return [[s * v for v in x]] + [
-            [sum(basis[1 + k][r] * c[k] for k in range(m - 1)) for r in range(m)] for c in sub
-        ]
-    return None
+        if not _is_scalar(schur):
+            sub = _sourour_columns(schur, alphas[1:], field)
+            break
+    else:
+        raise RuntimeError(f"Sourour's rule found no basis vector at size {m}")
+    s = f[p] if p % 2 == 0 else -f[p]
+    # S = [s x | basis[1:]] * diag(1, sub)
+    return [[s * v for v in x]] + [
+        [sum(basis[1 + k][r] * c[k] for k in range(m - 1)) for r in range(m)] for c in sub
+    ]
 
 
 def _is_scalar(a: list) -> bool:
     return all(a[i][j] == (a[0][0] if i == j else 0) for i in range(len(a)) for j in range(len(a)))
 
 
-def _sourour_basis(g: SLMatrix, alphas: list, rng: Random) -> tuple[SLMatrix | None, int]:
-    """(S, attempts): S in SL_n with S^-1 g S = L U, L lower and U upper
-    triangular, the product of their k-th diagonal entries alphas[k]; S is
-    None if the search found none within ``BASIS_ATTEMPTS`` choices."""
-    spent = [0]
-    cols = _sourour_search([list(r) for r in g.rows], alphas, g.field, rng, spent)
-    if cols is None:
-        return None, spent[0]
-    return SLMatrix(g.field, [[c[i] for c in cols] for i in range(g.n)]), spent[0]
+def _sourour_basis(g: SLMatrix, alphas: list) -> SLMatrix:
+    """S in SL_n with S^-1 g S = L U, L lower and U upper triangular, the
+    product of their k-th diagonal entries alphas[k], for a non-central g."""
+    cols = _sourour_columns([list(r) for r in g.rows], alphas, g.field)
+    return SLMatrix(g.field, [[c[i] for c in cols] for i in range(g.n)])
 
 
-def _two_letter_word(g: SLMatrix, t: SLMatrix, rng: Random) -> tuple[tuple, int]:
-    """(word, attempts): g = (c_1 t c_1^-1)(c_2 t^-1 c_2^-1) for a non-central
-    g, or an empty word if the basis search failed."""
+def _two_letter_word(g: SLMatrix, t: SLMatrix) -> tuple:
+    """g = (c_1 t c_1^-1)(c_2 t^-1 c_2^-1) for a non-central g."""
     field, n = g.field, g.n
     d = [row[i] for i, row in enumerate(t.rows)]
     beta = d[::-1]
     gamma = [1 / x for x in d]
-    s, attempts = _sourour_basis(g, [b * c for b, c in zip(beta, gamma)], rng)
-    if s is None:
-        return (), attempts
+    s = _sourour_basis(g, [b * c for b, c in zip(beta, gamma)])
     cell = big_cell_decompose(mat_product([s.inverse(), g, s]))
     lower = cell.lower * SLMatrix.diagonal(field, beta)
     upper = SLMatrix.diagonal(field, gamma) * cell.upper
@@ -394,43 +409,32 @@ def _two_letter_word(g: SLMatrix, t: SLMatrix, rng: Random) -> tuple[tuple, int]
     v2, _ = diagonalize_in_borel(upper)
     c1 = mat_product([s, n0, v1.inverse(), vt])
     c2 = mat_product([s, v2.inverse(), vt])
-    return (Letter(c1, 0, +1), Letter(c2, 0, -1)), attempts
+    return Letter(c1, 0, +1), Letter(c2, 0, -1)
 
 
-def _short_certificate(g: SLMatrix, t: SLMatrix, rng: Random, budget: int) -> Certificate:
+def _short_certificate(g: SLMatrix, t: SLMatrix) -> Certificate:
     """g over {t} by Sourour's construction, unchecked: 0 letters for 1,
-    2 for a non-central g, 4 for a central one; the seven-block route when
-    the basis search fails.  ``stats`` names the route and the attempts."""
+    2 for a non-central g, 4 for a central one.  ``stats`` names the route."""
     field, n = g.field, g.n
     if g.is_identity():
-        return Certificate(field=field, n=n, target=g, base=(t,), word=(), bound_claimed=14,
-                           stats={"route": "identity", "basis_attempts": 0})
-    if is_central(g):
+        word, route = (), "identity"
+    elif is_central(g):
         # z = (z E_12(-1)) E_12(1): a non-central element and a unipotent one
-        h = g * elementary(field, n, 1, 2, -1)
-        word, attempts = _two_letter_word(h, t, rng)
-        if word:
-            word += unipotent_as_two_conjugates(t, elementary(field, n, 1, 2, 1)).word
+        word = (_two_letter_word(g * elementary(field, n, 1, 2, -1), t)
+                + unipotent_as_two_conjugates(t, elementary(field, n, 1, 2, 1)).word)
         route = "two-letter (central: 4 letters)"
     else:
-        word, attempts = _two_letter_word(g, t, rng)
-        route = "two-letter"
-    if not word:
-        fallback = _seven_block_certificate(g, t, rng, budget)
-        return replace(fallback, stats={"route": "fallback", "basis_attempts": attempts, **fallback.stats})
+        word, route = _two_letter_word(g, t), "two-letter"
     return Certificate(field=field, n=n, target=g, base=(t,), word=word, bound_claimed=14,
-                       stats={"route": route, "basis_attempts": attempts})
+                       stats={"route": route})
 
 
-def decompose_via_sourour(
-    g: SLMatrix, t: SLMatrix, rng: Random, budget: int = 10_000
-) -> Certificate:
+def decompose_via_sourour(g: SLMatrix, t: SLMatrix) -> Certificate:
     """Certificate for g over the single base element t (upper triangular,
     pairwise distinct diagonal): 2 letters for a non-central g, 4 for a
-    central g != 1, 0 for 1.  Falls back to the seven-block route (at most
-    14 letters) when the basis search fails; the claimed bound is 14."""
+    central g != 1, 0 for 1; the claimed bound is 14."""
     _check_base(g, t)
-    return require_valid(_short_certificate(g, t, rng, budget))
+    return require_valid(_short_certificate(g, t))
 
 
 # -- the regular element t from a ball of X
@@ -527,7 +531,7 @@ def find_regular_in_ball(
     F_101 and 0.5% over Q, against 60-75% at n - 1.  After
     ``MISSES_AT_RADIUS_1`` straight misses at radius 1, r jumps to n - 1.
     ``budget`` caps the samples drawn; when it runs out the error names the
-    stage that spent most of it: samples outside the open cell, or open-cell
+    stage that used most of it: samples outside the open cell, or open-cell
     samples whose pair gave a repeated diagonal.
 
     Over F_p with p <= n + 1 no such t exists: its diagonal would need n
@@ -607,7 +611,7 @@ def decompose_full(
         )
 
     t, t_cert = find_regular_in_ball(X, rng, budget)
-    mid = _short_certificate(g, t, rng, budget)
+    mid = _short_certificate(g, t)
     cert = replace(
         substitute_certificate(mid, t_cert),
         seed=seed,

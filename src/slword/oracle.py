@@ -80,6 +80,19 @@ class GroupTable:
         return self.index[g.entries]
 
 
+def _require_subsets(m: int, subset_cap: int) -> None:
+    if 2 ** (m - 1) > subset_cap:
+        raise GroupSizeCapExceeded(f"2^{m - 1} class subsets exceed the cap of {subset_cap}")
+
+
+def require_delta_subsets(n: int, p: int, subset_cap: int) -> None:
+    """Refuse an over-cap ``delta`` before enumerating when the class count
+    is known: p + 4 for SL(2, p), p odd, and 3 for SL(2, 2)."""
+    GF(p)  # a bad p stays an input error
+    if n == 2:
+        _require_subsets(p + 4 if p > 2 else 3, subset_cap)
+
+
 def enumerate_group(n: int, p: int, cap: int = 10**6) -> GroupTable:
     """Enumerate SL_n(F_p) by closure from the elementary generators
     E_{i,i+1}(1), E_{i+1,i}(1).  An order past ``cap``, known as
@@ -262,8 +275,7 @@ def delta(table: GroupTable, max_classes: int | None = None, subset_cap: int = 2
     at most k elements touches at most k classes, giving Delta_k.
     """
     m = len(table.classes)
-    if 2 ** (m - 1) > subset_cap:
-        raise GroupSizeCapExceeded(f"2^{m - 1} class subsets exceed the cap of {subset_cap}")
+    _require_subsets(m, subset_cap)
     kmax = m if max_classes is None else min(max_classes, m)
 
     results = []

@@ -11,9 +11,14 @@ and ``test_oracle.py`` checks the class-level search against it.
 ``delta_over_every_subset`` is ``delta`` as it ran before it left out class
 0: it searches every class subset, the identity's class included, each from
 the identity, and ``test_oracle.py`` checks ``delta`` against it.
+
+``schur_in_basis`` is one level of Sourour's basis, computed by an explicit
+change of basis, and ``level_choices_by_brute_force`` lists every (x, f) a
+level over a small F_p could take; ``test_decompose.py`` checks the level
+rule of ``decompose._choices`` against them.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from slword.fields import Field
 from slword.matrix import _mul_mod, mat_product
@@ -228,3 +233,45 @@ def delta_over_every_subset(table: GroupTable, max_classes=None) -> DeltaReport:
                 if diam > best_k[kk]:
                     best_k[kk] = diam
     return DeltaReport(delta=best, delta_k=best_k, witnesses=witnesses, results=results)
+
+
+def schur_in_basis(a, x, f, field: Field):
+    """The Schur complement of the (1,1) entry of the matrix a in the basis
+    (x, e_i - (f_i / f_p) e_p for i != p) of x and ker f, p the first index
+    with f_p != 0, as P^-1 a P with P inverted by elimination."""
+    m = len(a)
+    p = next(i for i in range(m) if f[i])
+    cols = [list(x)]
+    for i in range(m):
+        if i != p:
+            b = [field.zero] * m
+            b[i], b[p] = field.one, -f[i] / f[p]
+            cols.append(b)
+    basis = tuple(tuple(c[r] for c in cols) for r in range(m))
+    b = mul_rows(mul_rows(inverse_rows(basis, field), a, field), basis, field)
+    return [[b[i][j] - b[i][0] * b[0][j] / b[0][0] for j in range(1, m)] for i in range(1, m)]
+
+
+def is_scalar_rows(a) -> bool:
+    return all(a[i][j] == (a[0][0] if i == j else 0) for i in range(len(a)) for j in range(len(a)))
+
+
+def level_choices_by_brute_force(a, alpha, field: Field):
+    """Every (x, f) over F_p with x, ax independent, f(x) = 1 and
+    f(ax) = alpha, each with whether its Schur complement is scalar, in order
+    of x.  x runs over the vectors whose first nonzero entry is 1: (s x, f / s)
+    gives the same basis up to scaling its first vector, so the same
+    complement."""
+    p, m = field.p, len(a)
+    rows = [[e.val for e in row] for row in a]
+    for xs in product(range(p), repeat=m):
+        if not any(xs) or xs[next(i for i in range(m) if xs[i])] != 1:
+            continue
+        ys = [sum(map(int.__mul__, row, xs)) % p for row in rows]
+        if all((xs[i] * ys[k] - xs[k] * ys[i]) % p == 0 for i in range(m) for k in range(i + 1, m)):
+            continue  # x is an eigenvector
+        for fs in product(range(p), repeat=m):
+            if (sum(map(int.__mul__, fs, xs)) % p == 1
+                    and sum(map(int.__mul__, fs, ys)) % p == alpha.val):
+                x, f = [field.scalar(v) for v in xs], [field.scalar(v) for v in fs]
+                yield x, f, is_scalar_rows(schur_in_basis(a, x, f, field))

@@ -148,7 +148,7 @@ def test_verify_rejects_integer_fields_that_are_not_json_integers(tmp_path, caps
     # int() would truncate each of these to a value that makes the
     # certificate verify; it must be exit 3 instead
     g, t = SLMatrix(GF(7), [[1, 2], [1, 3]]), SLMatrix.diagonal(GF(7), [2, 4])
-    cert = certificate_to_json(decompose_via_sourour(g, t, Random(0)))
+    cert = certificate_to_json(decompose_via_sourour(g, t))
     assert run_cli(["verify", write_json(tmp_path / "ok.json", cert)], capsys)[0] == 0
     node = cert
     for key in path[:-1]:
@@ -427,6 +427,16 @@ GOLDEN_SHORT_CERTIFICATES = {
 }
 
 
+# SHA-256 of `certify --generator t --seed 5` for t = diag(2, 1, 1/2) and the
+# diagonal target diag(3, 1, 1/3): every e_j is an eigenvector of it, so the
+# level rule starts the basis at x = e_i + e_j; before the rule, that level
+# took seeded random draws
+GOLDEN_DIAGONAL_CERTIFICATES = {
+    "Q": "0ca242f55635ed3607205f71ffbfd0ecf1469e0f49b79756c0539f99ed1e4b16",
+    "Fp:101": "171a328cfa1d29f644700937da995436aaaad71339fbc444284edd616782270b",
+}
+
+
 def golden_request(tmp_path, field_arg, entries):
     field = QQ if field_arg == "Q" else GF(int(field_arg.split(":")[1]))
     n = len(entries)
@@ -461,6 +471,21 @@ def test_certify_output_is_byte_identical_to_short_golden(tmp_path, capsys, fiel
     assert_golden(stdout, GOLDEN_SHORT_CERTIFICATES[field_arg])
 
 
+@pytest.mark.parametrize("field_arg", ["Q", "Fp:101"], ids=["Q", "F101"])
+def test_certify_generator_on_a_diagonal_target_is_byte_identical_to_golden(tmp_path, capsys, field_arg):
+    field = QQ if field_arg == "Q" else GF(101)
+    one = field.one
+    tgt = write_json(tmp_path / "g.json", matrix_to_json(SLMatrix.diagonal(field, [3, 1, one / 3])))
+    gen = write_json(tmp_path / "t.json", matrix_to_json(SLMatrix.diagonal(field, [2, 1, one / 2])))
+    code, stdout, _ = run_cli(
+        ["certify", "--field", field_arg, "--n", "3", "--target", tgt, "--generator", gen, "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(stdout)["meta"]["length"] == 2
+    assert_golden(stdout, GOLDEN_DIAGONAL_CERTIFICATES[field_arg])
+
+
 def test_certify_summary_names_route_radius_and_attempts(tmp_path, capsys):
     n, _, _, tgt, xs = golden_request(tmp_path, *GOLDEN_CERTIFICATES[0][:2])
     code, _, stderr = run_cli(
@@ -471,19 +496,6 @@ def test_certify_summary_names_route_radius_and_attempts(tmp_path, capsys):
     assert "certificate length 8 (claimed bound 112)" in stderr
     assert "route two-letter" in stderr
     assert "t at radius 1 after 5 samples (3 outside the open cell" in stderr
-    assert "basis search 2 attempts" in stderr
-
-
-def test_certify_summary_names_split_attempts_on_the_fallback_route(
-    target_file, generator_file, capsys, monkeypatch
-):
-    monkeypatch.setattr(decompose, "_sourour_basis", lambda g, alphas, rng: (None, 7))
-    code, _, stderr = run_cli(
-        ["certify", "--field", "Q", "--n", "2", "--target", target_file, "--generator", generator_file],
-        capsys,
-    )
-    assert code == 0
-    assert "route fallback; basis search 7 attempts; big-cell split 1 attempts" in stderr
 
 
 def test_certify_mismatch_is_exit_1(tmp_path, target_file, genset_file, capsys, monkeypatch):
@@ -640,6 +652,22 @@ def test_oracle_refuses_an_over_cap_group_before_enumerating(action, capsys, mon
 def test_oracle_cap_admits_a_group_of_exactly_its_order(cap, code, capsys):
     # |SL(2,5)| = 120
     assert run_cli(["oracle", "delta", "--n", "2", "--p", "5", "--cap", cap], capsys)[0] == code
+
+
+def test_oracle_delta_refuses_an_over_cap_sl2_before_enumerating(capsys, no_enumeration):
+    # SL(2, 47) has 51 classes, so 2^50 subsets: refused from the class count
+    code, stdout, stderr = run_cli(["oracle", "delta", "--n", "2", "--p", "47"], capsys)
+    assert code == 4 and stdout == ""
+    assert stderr == "error: 2^50 class subsets exceed the cap of 1048576\n"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_sl2_class_count_for_the_early_refusal_matches_enumeration(p):
+    # the early refusal admits exactly the subset count of the enumerated classes
+    m = len(oracle.enumerate_group(2, p).classes)
+    oracle.require_delta_subsets(2, p, 2 ** (m - 1))
+    with pytest.raises(oracle.GroupSizeCapExceeded):
+        oracle.require_delta_subsets(2, p, 2 ** (m - 1) - 1)
 
 
 @pytest.mark.parametrize("cap,code", [("255", 4), ("256", 0)])

@@ -1,5 +1,8 @@
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from itertools import groupby, product
+from operator import mul
 from random import Random
 
 import pytest
@@ -34,7 +37,10 @@ from slword import (
     smallest_radius,
     verify_certificate,
 )
+from slword import bruhat
 from slword.rootdata import longest_perm
+
+from reference_kernel import is_scalar_rows, level_choices_by_brute_force, rank_rows, schur_in_basis
 
 
 def blocks_product(blocks):
@@ -356,40 +362,48 @@ def short_route_cases(draw):
     elif kind == "diagonal":
         g = SLMatrix.diagonal(field, [t.rows[i][i] for i in range(n)])
     elif kind == "near-scalar":
-        # a transvection: every (x, f) choice leaves a Schur complement of
-        # the same kind, the hardest case for the basis search
+        # a transvection, I + rank 1: at pivot 1 every x has an f that
+        # leaves a scalar Schur complement, the hard case for the level rule
         g = elementary(field, n, rng.randrange(1, n), n, field.random_nonzero(rng))
     else:
         g = random_sl(field, n, rng, factors=draw(st.integers(1, 3 * n)))
     return g, t, rng
 
 
-# pinned examples: the basis search is capped at BASIS_ATTEMPTS choices, so
-# a fallback is possible in principle, though never seen for p > n + 1
+@contextmanager
+def seven_blocks_forbidden():
+    """Fail if the two-letter route reaches the seven-block route."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certify path reached the seven-block route")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "_seven_block_certificate", refuse)
+        mp.setattr(decompose, "split_over_big_cell", refuse)
+        mp.setattr(bruhat, "split_over_big_cell", refuse)
+        yield
+
+
+# pinned examples; the level rule always finds a basis, so the length is
+# exact and the seven-block route is never reached
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(short_route_cases())
 def test_sourour_route_lengths(case):
-    g, t, rng = case
-    cert = decompose_via_sourour(g, t, rng)
-    assert cert.stats["route"] != "fallback"
+    g, t, _ = case
+    with seven_blocks_forbidden():
+        cert = decompose_via_sourour(g, t)
     assert cert.length == expected_short_length(g)
     assert cert.base == (t,) and cert.bound_claimed == 14
     assert verify_certificate(cert)
 
 
-def test_sourour_route_falls_back_to_seven_blocks(monkeypatch):
-    field = QQ
-    t = diag_of_primes(field, 3)
-    g = random_sl(field, 3, Random(4), factors=9)
-    monkeypatch.setattr(decompose, "_sourour_basis", lambda g, alphas, rng: (None, 7))
-    cert = decompose_via_sourour(g, t, Random(8))
-    assert cert.stats == {"route": "fallback", "basis_attempts": 7, "split_attempts": 1}
-    assert cert == decompose_as_conjugates_of(g, t, Random(8))
-    assert cert.length > 2 and verify_certificate(cert)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_full_certificate_is_at_most_eight_per_radius(n, field, rng):
+    with seven_blocks_forbidden():
+        _full_certificates_are_at_most_eight_per_radius(n, field, rng)
+
+
+def _full_certificates_are_at_most_eight_per_radius(n, field, rng):
     X = GeneratingSet.of([elementary(field, n, 1, 2, 1)])
     for _ in range(3):
         g = random_sl(field, n, rng, factors=2 * n)
@@ -402,6 +416,128 @@ def test_full_certificate_is_at_most_eight_per_radius(n, field, rng):
         cert = decompose_full(SLMatrix.diagonal(field, [-1] * n), X, rng)
         assert cert.length <= 16 * cert.stats["radius"] <= 16 * (n - 1)
         assert verify_certificate(cert)
+
+
+# -- the level rule of Sourour's basis, ``decompose._choices``
+
+
+def dot(u, v, field):
+    return sum(map(mul, u, v), field.zero)
+
+
+def rule_choice(a, alpha, field):
+    """The choice a level takes, checked: every (x, f) the rule lists up to it
+    has x, ax independent, f(x) = 1 and f(ax) = alpha, and it is the first
+    whose Schur complement, by the reference's change of basis, is not
+    scalar (the first of all at size 2)."""
+    m = len(a)
+    for x, f in decompose._choices(a, alpha, field):
+        y = [dot(row, x, field) for row in a]
+        assert any(x[i] * y[k] != x[k] * y[i] for i in range(m) for k in range(i + 1, m))
+        assert dot(f, x, field) == field.one and dot(f, y, field) == alpha
+        if m == 2 or not is_scalar_rows(schur_in_basis(a, x, f, field)):
+            return x, f
+    raise AssertionError(f"the level rule has no choice for {a} at pivot {alpha}")
+
+
+def diagonal_levels(field, m):
+    for d in product(range(1, field.p), repeat=m):
+        if len(set(d)) > 1:
+            yield [[field.scalar(d[i] if i == j else 0) for j in range(m)] for i in range(m)]
+
+
+def sparse_vector(field, m, rng):
+    # zeros half the time: sparse u, v are the ones a sparse choice can hit
+    return [rng.randrange(field.p) if rng.random() < 0.5 else 0 for _ in range(m)]
+
+
+def scalar_plus_rank_one_levels(field, m, rng, count=150):
+    """lambda I + u v^T, invertible and not scalar."""
+    p = field.p
+    while count:
+        lam, u, v = rng.randrange(1, p), sparse_vector(field, m, rng), sparse_vector(field, m, rng)
+        if any(u) and any(v) and (lam + sum(map(mul, u, v))) % p:  # det = lam^(m-1) (lam + v.u)
+            count -= 1
+            yield [[field.scalar((lam if i == j else 0) + u[i] * v[j]) for j in range(m)] for i in range(m)]
+
+
+def opposite_off_diagonal_levels(field, rng, count=150):
+    """3x3, not diagonal, with a_li = -a_lj for i, j, l distinct: no
+    e_i + e_j leaves span(e_i, e_j), the case of step 4 in ``_choices``."""
+    while count:
+        d = [rng.randrange(field.p) for _ in range(3)]
+        off = sparse_vector(field, 3, rng)
+        rows = [[d[i] if i == j else 0 for j in range(3)] for i in range(3)]
+        for l in range(3):
+            i, j = (k for k in range(3) if k != l)
+            rows[l][i], rows[l][j] = off[l], -off[l]
+        a = [[field.scalar(e) for e in row] for row in rows]
+        if any(off) and rank_rows(a) == 3:
+            count -= 1
+            yield a
+
+
+def test_level_rule_is_total_on_its_hard_families():
+    rng = Random(17)
+    for field in (GF(5), GF(7)):
+        levels = [a for m in (2, 3, 4) for a in diagonal_levels(field, m)]
+        levels += [a for m in (3, 4) for a in scalar_plus_rank_one_levels(field, m, rng)]
+        levels += list(opposite_off_diagonal_levels(field, rng))
+        for a in levels:
+            for alpha in range(1, field.p):
+                rule_choice(a, field.scalar(alpha), field)
+
+
+def test_reference_hard_levels_lie_in_the_swept_families():
+    # the reference calls a level hard when every x has an f that leaves a
+    # scalar complement, so that no x is safe on its own.  (x, f) ->
+    # (P x, f P^-1) carries the choices for a onto those for P a P^-1 with the
+    # same complement, so over F_5 at m = 3 one matrix per conjugacy class
+    # (its rational canonical form) covers every level.  The hard ones are
+    # lambda I + rank 1 at alpha = its other eigenvalue, a family swept above
+    field, p = GF(5), 5
+    forms = [[[0, 0, -c0], [1, 0, -c1], [0, 1, -c2]] for c0, c1, c2 in product(range(p), repeat=3) if c0]
+    forms += [[[lam, 0, 0], [0, 0, -lam * mu], [0, 1, lam + mu]]
+              for lam in range(1, p) for mu in range(1, p)]
+    hard, expected = set(), set()
+    for i, form in enumerate(forms):
+        a = [[field.scalar(e) for e in row] for row in form]
+        trace = sum(form[k][k] for k in range(3))
+        for lam in range(1, p):
+            if rank_rows([[a[r][c] - field.scalar(lam if r == c else 0) for c in range(3)] for r in range(3)]) == 1:
+                expected.add((i, (trace - 2 * lam) % p))
+        for alpha in range(1, p):
+            choices = level_choices_by_brute_force(a, field.scalar(alpha), field)
+            if all(any(c[2] for c in group) for _, group in groupby(choices, key=lambda c: c[0])):
+                hard.add((i, alpha))
+    assert len(hard) == 16 and hard == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "F101"])
+@pytest.mark.parametrize("family", ["a", "b", "c"])
+def test_each_level_rule_decides_an_end_to_end_target(field, family, monkeypatch):
+    # t's first pivot is d_3 / d_1 = 1/4: a transvection takes a sparse x
+    # (a); diag(3, 1, 1/3) has no entry 1/4 and takes x = e_i + e_j (b);
+    # diag(1/4, 2, 2) has 1/4 simple and every pair failing, so it takes (c)
+    taken = []
+    real = decompose._choices
+
+    def spy(a, alpha, field):
+        for choice in real(a, alpha, field):
+            taken.append((len(a), choice))
+            yield choice
+
+    monkeypatch.setattr(decompose, "_choices", spy)
+    one = field.one
+    t = SLMatrix.diagonal(field, [2, 1, one / 2])
+    g = {"a": elementary(field, 3, 1, 2, 1),
+         "b": SLMatrix.diagonal(field, [3, 1, one / 3]),
+         "c": SLMatrix.diagonal(field, [one / 4, 2, 2])}[family]
+    cert = decompose_via_sourour(g, t)
+    assert cert.length == 2 and verify_certificate(cert)
+    x, f = [choice for m, choice in taken if m == 3][-1]  # the top level's last, so its pick
+    support = {i for i in range(3) if x[i]}
+    assert family == ("a" if len(support) == 1 else "b" if {i for i in range(3) if f[i]} <= support else "c")
 
 
 def test_smallest_radius_follows_the_rank_bound():
@@ -447,10 +583,9 @@ def test_sourour_lengths_against_exact_norms_on_sl2_11():
     central = {i for i in range(table.order) if is_central(table.matrix(i))}
     assert {ball.norms[i] for i in central} == {0, 3}
     assert max(ball.norms[i] for i in range(table.order) if i not in central) == 2
-    rng = Random(110)
     for i in range(table.order):
         g = table.matrix(i)
-        cert = decompose_via_sourour(g, t, rng)
+        cert = decompose_via_sourour(g, t)
         assert cert.length == expected_short_length(g) >= ball.norms[i]
         assert verify_certificate(cert)
 
