@@ -81,7 +81,7 @@ class GroupTable:
 
 
 def _require_subsets(m: int, subset_cap: int) -> None:
-    if 2 ** (m - 1) > subset_cap:
+    if m - 1 >= max(subset_cap, 0).bit_length():
         raise GroupSizeCapExceeded(f"2^{m - 1} class subsets exceed the cap of {subset_cap}")
 
 

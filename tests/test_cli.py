@@ -3,6 +3,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -659,6 +660,26 @@ def test_oracle_delta_refuses_an_over_cap_sl2_before_enumerating(capsys, no_enum
     code, stdout, stderr = run_cli(["oracle", "delta", "--n", "2", "--p", "47"], capsys)
     assert code == 4 and stdout == ""
     assert stderr == "error: 2^50 class subsets exceed the cap of 1048576\n"
+
+
+def test_oracle_delta_refuses_a_large_prime_at_once(capsys, no_enumeration):
+    # the cap is compared by exponent, so 2^(p+3), 125 MB here, is never built
+    p, start = 1000000007, time.perf_counter()
+    code, stdout, stderr = run_cli(["oracle", "delta", "--n", "2", "--p", str(p)], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 4 and stdout == ""
+    assert stderr == f"error: 2^{p + 3} class subsets exceed the cap of 1048576\n"
+
+
+def test_subset_cap_by_exponent_equals_the_power():
+    for m in [1, 2, 3, 9, 51]:
+        for cap in [-100, -1, 0, 1, 2, 3, 4, 255, 256, 2**50 - 1, 2**50]:
+            try:
+                oracle._require_subsets(m, cap)
+                refused = False
+            except oracle.GroupSizeCapExceeded:
+                refused = True
+            assert refused == (2 ** (m - 1) > cap), (m, cap)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
