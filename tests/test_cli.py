@@ -438,6 +438,15 @@ GOLDEN_DIAGONAL_CERTIFICATES = {
 }
 
 
+# SHA-256 of `certify --genset X={E_12(1)} --seed 5` for the central target -I
+# (n = 2 over Q, n = 4 over F_101): the one route whose last two letters come
+# from `unipotent_as_two_conjugates`, as z = (z E_12(-1)) E_12(1)
+GOLDEN_CENTRAL_CERTIFICATES = [
+    ("Q", 2, "1aba79476307d0d478d2ec62fec7ef6f63ce7b3c59dd092aaa94d136311e771c"),
+    ("Fp:101", 4, "c6f564842265c652ff0d81564af39aa092d498d9b676fddfe4ba245aa65a9179"),
+]
+
+
 def golden_request(tmp_path, field_arg, entries):
     field = QQ if field_arg == "Q" else GF(int(field_arg.split(":")[1]))
     n = len(entries)
@@ -470,6 +479,22 @@ def test_certify_output_is_byte_identical_to_short_golden(tmp_path, capsys, fiel
     assert code == 0
     assert json.loads(stdout)["meta"]["length"] == 8
     assert_golden(stdout, GOLDEN_SHORT_CERTIFICATES[field_arg])
+
+
+@pytest.mark.parametrize("field_arg,n,digest", GOLDEN_CENTRAL_CERTIFICATES, ids=["Q", "F101"])
+def test_certify_central_target_is_byte_identical_to_golden(tmp_path, capsys, field_arg, n, digest):
+    minus_one = "-1" if field_arg == "Q" else "100"
+    entries = [[minus_one if i == j else "0" for j in range(n)] for i in range(n)]
+    _, _, _, tgt, xs = golden_request(tmp_path, field_arg, entries)
+    code, stdout, stderr = run_cli(
+        ["certify", "--field", field_arg, "--n", str(n), "--target", tgt, "--genset", xs,
+         "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    assert "route two-letter (central: 4 letters)" in stderr
+    assert json.loads(stdout)["meta"]["length"] == 16
+    assert_golden(stdout, digest)
 
 
 @pytest.mark.parametrize("field_arg", ["Q", "Fp:101"], ids=["Q", "F101"])
