@@ -71,7 +71,6 @@ from .rootdata import (
 )
 from .torus import sl2_coroot_factor, torus_factor
 from .unipotent import (
-    diagonalize_in_borel,
     solve_twisted_conjugation,
     unipotent_as_two_conjugates,
 )

@@ -2,8 +2,10 @@
 
 Each JSON output is one canonical compact line on stdout (sorted keys, no
 whitespace; ``python -m json.tool`` indents it), human summaries to
-stderr; older, indented certificates still verify.  The seed is --seed, else
-$SLWORD_SEED, else 0; a fixed seed reproduces byte-identical output.
+stderr; older, indented certificates still verify.  ``certify --genset``
+takes its seed from --seed, else $SLWORD_SEED, else 0, and a fixed seed
+reproduces byte-identical output; ``certify --generator`` draws nothing at
+random and records no seed.
 
 Exit codes: 0 success, 1 certificate verification mismatch (from ``verify``,
 or from ``certify`` when the certificate it built fails its own final
@@ -17,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from random import Random
 
 from .bruhat import SearchBudgetExceeded, big_cell_decompose, bruhat_decompose
@@ -70,11 +71,11 @@ def cmd_certify(args) -> int:
     target = matrix_from_json(_load_json(args.target))
     if target.field != field or target.n != args.n:
         raise ValueError("--field/--n do not match the target matrix")
-    seed = _resolve_seed(args)
     if args.generator:
-        t = matrix_from_json(_load_json(args.generator))
-        cert = replace(decompose_via_sourour(target, t), seed=seed, bound_claimed=14)
+        # nothing on this route draws from an rng, so no seed is recorded
+        cert = decompose_via_sourour(target, matrix_from_json(_load_json(args.generator)))
     else:
+        seed = _resolve_seed(args)
         raw = _load_json(args.genset)
         mats = raw["matrices"] if isinstance(raw, dict) else raw
         if not isinstance(mats, list):
@@ -215,8 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = c.add_mutually_exclusive_group(required=True)
     mode.add_argument("--generator", help="matrix JSON file: regular upper triangular t (bound 14)")
     mode.add_argument("--genset", help="JSON file with a list of matrices (bound 56(n-1))")
-    c.add_argument("--seed", type=int, default=None, help="default: $SLWORD_SEED or 0")
-    c.add_argument("--budget", type=int, default=10_000, help="cap on the regular-element search (--genset)")
+    c.add_argument("--seed", type=int, default=None, help="--genset only; default: $SLWORD_SEED or 0")
+    c.add_argument("--budget", type=int, default=10_000, help="--genset only: cap on the regular-element search")
     c.add_argument("--out", help="also write the certificate JSON here")
     c.set_defaults(func=cmd_certify)
 

@@ -16,8 +16,8 @@ The pipeline, bottom to top:
   is the scalar c only if (A - c) ker f <= span(Ax), which for each x fixes
   c and f.  So S is built, with no search, random draw or fallback.
   n_0^-1 L n_0 and U are upper triangular with the diagonals of
-  t and t^-1, so each is one conjugate of t^{+-1}
-  (``unipotent.diagonalize_in_borel``), and g = (c_1 t c_1^-1)
+  t and t^-1, so each is one unitriangular conjugate of t^{+-1}
+  (``unipotent._conjugate_in_borel``), and g = (c_1 t c_1^-1)
   (c_2 t^-1 c_2^-1): 2 letters.  A central g != 1 is (g E_12(-1)) E_12(1),
   4 letters.
 
@@ -40,8 +40,8 @@ The pipeline, bottom to top:
   radius is 1 when the rank bound of ``smallest_radius`` lets a ball of
   radius 1 reach the open cell, and n - 1 otherwise or after a fixed run of
   misses at radius 1.  The search runs on the flat int kernel end to end and
-  builds no per-entry scalar; Sourour's basis and
-  ``diagonalize_in_borel`` below still work on scalar rows.
+  builds no per-entry scalar; Sourour's basis and the solve in the Borel
+  below still work on scalar rows.
 
 - ``decompose_full``: t from the ball, g over t by ``decompose_via_sourour``,
   every t^{+-1} letter expanded through t's own certificate: at most
@@ -79,7 +79,7 @@ from .matrix import (
 )
 from .rootdata import elementary, longest_element_rep
 from .torus import torus_factor
-from .unipotent import _require_regular_borel, diagonalize_in_borel, unipotent_as_two_conjugates
+from .unipotent import _conjugate_in_borel, _require_regular_borel, unipotent_as_two_conjugates
 
 # consecutive open-cell misses after which the ball search gives up
 # radius 1 for radius n - 1
@@ -262,8 +262,8 @@ def decompose_as_conjugates_of(
 
 
 # -- Sourour's construction, on scalar rows (Fraction or Fp); with
-# diagonalize_in_borel, the layer of the two-letter route that does not yet
-# run on the flat int kernel
+# unipotent._conjugate_in_borel, the layer of the two-letter route that does
+# not yet run on the flat int kernel
 
 
 def _choices(a: list, alpha, field: Field):
@@ -392,7 +392,9 @@ def _sourour_basis(g: SLMatrix, alphas: list) -> SLMatrix:
 
 
 def _two_letter_word(g: SLMatrix, t: SLMatrix) -> tuple:
-    """g = (c_1 t c_1^-1)(c_2 t^-1 c_2^-1) for a non-central g."""
+    """g = (c_1 t c_1^-1)(c_2 t^-1 c_2^-1) for a non-central g: with
+    S^-1 g S = L U, c_1 = S n_0 v_1 and c_2 = S v_2 for the unitriangular
+    v_1 t v_1^-1 = n_0^-1 L n_0 and v_2 t^-1 v_2^-1 = U."""
     field, n = g.field, g.n
     d = [row[i] for i, row in enumerate(t.rows)]
     beta = d[::-1]
@@ -402,13 +404,10 @@ def _two_letter_word(g: SLMatrix, t: SLMatrix) -> tuple:
     lower = cell.lower * SLMatrix.diagonal(field, beta)
     upper = SLMatrix.diagonal(field, gamma) * cell.upper
     n0 = longest_element_rep(field, n)
-    # n_0^-1 L n_0 has t's diagonal and U has t^-1's, so through the common
-    # diagonal: v1 (n_0^-1 L n_0) v1^-1 = vt t vt^-1, v2 U v2^-1 = vt t^-1 vt^-1
-    vt, _ = diagonalize_in_borel(t)
-    v1, _ = diagonalize_in_borel(mat_product([n0.inverse(), lower, n0]))
-    v2, _ = diagonalize_in_borel(upper)
-    c1 = mat_product([s, n0, v1.inverse(), vt])
-    c2 = mat_product([s, v2.inverse(), vt])
+    # n_0^-1 L n_0 has t's diagonal and U has t^-1's, so each is one
+    # unitriangular conjugate of t or t^-1
+    c1 = mat_product([s, n0, _conjugate_in_borel(t, mat_product([n0.inverse(), lower, n0]))])
+    c2 = s * _conjugate_in_borel(t.inverse(), upper)
     return Letter(c1, 0, +1), Letter(c2, 0, -1)
 
 

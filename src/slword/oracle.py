@@ -80,17 +80,28 @@ class GroupTable:
         return self.index[g.entries]
 
 
-def _require_subsets(m: int, subset_cap: int) -> None:
+def _require_subsets(m: int, subset_cap: int, at_least: str = "") -> None:
     if m - 1 >= max(subset_cap, 0).bit_length():
-        raise GroupSizeCapExceeded(f"2^{m - 1} class subsets exceed the cap of {subset_cap}")
+        raise GroupSizeCapExceeded(f"{at_least}2^{m - 1} class subsets exceed the cap of {subset_cap}")
 
 
 def require_delta_subsets(n: int, p: int, subset_cap: int) -> None:
-    """Refuse an over-cap ``delta`` before enumerating when the class count
-    is known: p + 4 for SL(2, p), p odd, and 3 for SL(2, 2)."""
+    """Refuse an over-cap ``delta`` before enumerating, from the class count
+    m of SL(n, p): p + 4 for n = 2, p odd, and 3 for SL(2, 2); for n >= 3 at
+    least p^(n-1), one class per characteristic polynomial, as the companion
+    matrix of each monic degree-n polynomial with constant term (-1)^n lies
+    in SL_n."""
     GF(p)  # a bad p stays an input error
     if n == 2:
         _require_subsets(p + 4 if p > 2 else 3, subset_cap)
+    elif n > 2:
+        # p^(n-1), multiplied out only until 2^(m-1) is over the cap
+        m, bits = 1, max(subset_cap, 0).bit_length()
+        for _ in range(n - 1):
+            m *= p
+            if m - 1 >= bits:
+                break
+        _require_subsets(m, subset_cap, "at least ")
 
 
 def enumerate_group(n: int, p: int, cap: int = 10**6) -> GroupTable:

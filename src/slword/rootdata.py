@@ -11,10 +11,11 @@ Conventions, pinned once so certificates are reproducible:
   2x2 block [[0,1],[-1,0]] at rows/columns (i, i+1); it lies in SL_n and
   squares to the coroot value -1.
 - The representative of an arbitrary permutation w is the product of simple
-  reflection representatives along the lexicographically smallest reduced
-  word of w (greedy smallest descent).  ``longest_element_rep`` is that
-  representative for the order-reversing permutation, the signed
-  anti-diagonal; conjugation by it swaps U and U-.
+  reflection representatives along a reduced word of w; by Tits' lemma it
+  does not depend on the word, and ``weyl_representative`` builds it in
+  closed form, column j being (-1)^#{k > j : w(k) < w(j)} e_{w(j)}.
+  ``longest_element_rep`` is that representative for the order-reversing
+  permutation, the signed anti-diagonal; conjugation by it swaps U and U-.
 
 Permutations are tuples ``w`` of length n over 0..n-1 with ``w[j]`` the image
 of column j (0-based internally, despite the 1-based matrix-entry indexing).
@@ -23,7 +24,7 @@ of column j (0-based internally, despite the 1-based matrix-entry indexing).
 from __future__ import annotations
 
 from .fields import Field
-from .matrix import SLMatrix, mat_product
+from .matrix import SLMatrix
 
 
 def elementary(field: Field, n: int, i: int, j: int, x) -> SLMatrix:
@@ -51,79 +52,30 @@ def coroot(field: Field, n: int, i: int, a) -> SLMatrix:
     return SLMatrix.diagonal(field, entries)
 
 
-def simple_reflection_rep(field: Field, n: int, i: int) -> SLMatrix:
-    """Representative of s_i: the [[0,1],[-1,0]] block at rows/cols (i, i+1)."""
-    if not (1 <= i <= n - 1):
-        raise ValueError(f"reflection index {i} out of range for n={n}")
-    one, zero = field.one, field.zero
-    rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
-    rows[i - 1][i - 1] = zero
-    rows[i - 1][i] = one
-    rows[i][i - 1] = -one
-    rows[i][i] = zero
-    return SLMatrix(field, rows)
-
-
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def longest_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n - 1, -1, -1))
 
 
-def inverse_perm(w: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(w)
-    for j, i in enumerate(w):
-        inv[i] = j
-    return tuple(inv)
-
-
-def reduced_word(w: tuple[int, ...]) -> list[int]:
-    """Lexicographically smallest reduced word for w, 1-based indices.
-
-    Greedy: repeatedly pick the smallest i with a left descent, i.e. with
-    value i appearing to the right of value i+1, and strip s_i off the left.
-    Yields the word (i_1, ..., i_N) with w = s_{i_1} ... s_{i_N}.
-    """
-    w = list(w)
-    n = len(w)
-    pos = [0] * n
-    for j, v in enumerate(w):
-        pos[v] = j
-    word = []
-    while True:
-        i = next((i for i in range(n - 1) if pos[i] > pos[i + 1]), None)
-        if i is None:
-            return word
-        word.append(i + 1)
-        # strip s_i on the left: swap the values i and i+1 in one-line form
-        w[pos[i]], w[pos[i + 1]] = w[pos[i + 1]], w[pos[i]]
-        pos[i], pos[i + 1] = pos[i + 1], pos[i]
-
-
 def weyl_representative(field: Field, w: tuple[int, ...]) -> SLMatrix:
-    """The pinned SL_n representative of the permutation w."""
+    """The pinned SL_n representative of the permutation w: the signed
+    permutation matrix whose column j is (-1)^#{k > j : w(k) < w(j)} e_{w(j)},
+    of determinant sign(w) (-1)^inv(w) = 1."""
     n = len(w)
-    word = reduced_word(w)
-    if not word:
-        return SLMatrix.identity(field, n)
-    return mat_product([simple_reflection_rep(field, n, i) for i in word])
+    if sorted(w) != list(range(n)):
+        raise ValueError(f"{w} is not a permutation of 0..{n - 1}")
+    minus_one = -1 if field.p is None else field.p - 1
+    entries = [0] * (n * n)
+    for j, i in enumerate(w):
+        inversions = sum(1 for k in range(j + 1, n) if w[k] < i)
+        entries[i * n + j] = minus_one if inversions % 2 else 1
+    return SLMatrix._wrap(field, n, tuple(entries), 1)
 
 
 def longest_element_rep(field: Field, n: int) -> SLMatrix:
-    """Representative of the longest Weyl element; swaps U and U- by
-    conjugation, and its square is diagonal with entries +-1.
-
-    It is the pinned ``weyl_representative(field, longest_perm(n))``, built
-    directly as the signed anti-diagonal: entry (i, n+1-i) is (-1)^(i+1),
-    1-based, which has determinant 1.
-    """
-    minus_one = -1 if field.p is None else field.p - 1
-    entries = [0] * (n * n)
-    for i in range(n):
-        entries[i * n + n - 1 - i] = minus_one if i % 2 else 1
-    return SLMatrix._wrap(field, n, tuple(entries), 1)
+    """Representative of the longest Weyl element, the signed anti-diagonal
+    with entry (i, n+1-i) equal to (-1)^(i+1), 1-based; it swaps U and U- by
+    conjugation, and its square is diagonal with entries +-1."""
+    return weyl_representative(field, longest_perm(n))
 
 
 def standard_generators(field: Field, n: int) -> list[SLMatrix]:

@@ -2,28 +2,28 @@
 regular triangular element.
 
 Throughout, t is upper triangular with pairwise distinct diagonal entries
-(so t is regular semisimple with all eigenvalues in the base field).  The
-key map is f(v) = v t v^-1 t^-1, a bijection of the upper unitriangular
-group; inverting it expresses any unipotent u as (c_1 t c_1^-1)(c_2 t^-1 c_2^-1).
+(so t is regular semisimple with all eigenvalues in the base field).  Every
+conjugation inside the Borel reduces to one solve, ``_conjugate_in_borel(a,
+b)``: the upper unitriangular v with v a v^-1 = b, for upper triangular a and
+b with the same pairwise distinct diagonal.  v a = b v, entry (i, j), is the
+graded recurrence
 
-For diagonal t = diag(t_1, ..., t_n), f(v) = u unwinds to v d = u d v, which
-entrywise is the graded recurrence
+    v_ij (a_jj - a_ii)  =  sum_{i<k<=j} b_ik v_kj  -  sum_{i<=k<j} v_ik a_kj,
 
-    v_ij (t_j - t_i)  =  u_ij t_j  +  sum_{i<k<j} u_ik t_k v_kj,
+solvable in increasing j - i since the right side only uses entries of v
+closer to the diagonal.  v is unique, because the centralizer of a regular a
+meets the unitriangular group only in 1.
 
-solvable in increasing j - i since the right side only uses entries closer to
-the diagonal.  The recurrence is not taken on faith: the round-trip property
-f(solve(d, u)) == u is asserted by the tests for every case they touch.
-
-A non-diagonal t is first conjugated to its diagonal by an upper
-unitriangular v_0 (same graded-elimination idea, denominators t_i - t_j), and
-v_0 is absorbed into the certificate's conjugators.
+With D = diag(t), any unipotent u is (c_1 t c_1^-1)(c_2 t^-1 c_2^-1) for
+c_1 = solve(t, u D) and c_2 = solve(t, D).  The solve is not taken on faith:
+every certificate is re-multiplied, and the tests compare it with two
+reference recurrences.
 """
 
 from __future__ import annotations
 
 from .certificate import Certificate, Letter
-from .matrix import SLMatrix, is_diagonal, is_upper_triangular, is_upper_unitriangular, mat_product
+from .matrix import SLMatrix, is_diagonal, is_upper_triangular, is_upper_unitriangular
 
 
 def _require_regular_borel(t: SLMatrix):
@@ -40,65 +40,48 @@ def _require_regular_borel(t: SLMatrix):
     return diag
 
 
-def diagonalize_in_borel(t: SLMatrix) -> tuple[SLMatrix, SLMatrix]:
-    """(v, d) with v t v^-1 = d: v upper unitriangular, d = diag(t).
-
-    Solved entrywise in increasing superdiagonal order from v t = d v, which
-    gives v_ij = (sum_{i<=k<j} v_ik t_kj) / (t_ii - t_jj).
-    """
-    diag = _require_regular_borel(t)
-    field, n, trows = t.field, t.n, t.rows
+def _conjugate_in_borel(a: SLMatrix, b: SLMatrix) -> SLMatrix:
+    """The unique upper unitriangular v with v a v^-1 = b, for upper
+    triangular a and b with the same pairwise distinct diagonal (unchecked)."""
+    field, n, arows, brows = a.field, a.n, a.rows, b.rows
     one, zero = field.one, field.zero
     v = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for off in range(1, n):
         for i in range(n - off):
             j = i + off
             acc = zero
+            for k in range(i + 1, j + 1):
+                if brows[i][k] and v[k][j]:
+                    acc = acc + brows[i][k] * v[k][j]
             for k in range(i, j):
-                if v[i][k] and trows[k][j]:
-                    acc = acc + v[i][k] * trows[k][j]
-            v[i][j] = acc / (diag[i] - diag[j])
-    vm = SLMatrix(field, v)
-    d = SLMatrix.diagonal(field, diag)
-    return vm, d
+                if v[i][k] and arows[k][j]:
+                    acc = acc - v[i][k] * arows[k][j]
+            v[i][j] = acc / (arows[j][j] - arows[i][i])
+    return SLMatrix(field, v)
 
 
 def solve_twisted_conjugation(d: SLMatrix, u: SLMatrix) -> SLMatrix:
-    """The unique upper unitriangular v with v d v^-1 d^-1 = u.
+    """The unique upper unitriangular v with v d v^-1 d^-1 = u, that is
+    v d v^-1 = u d.
 
     d must be diagonal with pairwise distinct entries; if two entries repeat
     the map is not invertible and a ValueError is raised.
     """
     if not is_diagonal(d):
         raise ValueError("expected a diagonal matrix")
-    diag = _require_regular_borel(d)
+    _require_regular_borel(d)
     if not is_upper_unitriangular(u):
         raise ValueError("expected an upper unitriangular matrix")
-    field, n, urows = d.field, d.n, u.rows
-    one, zero = field.one, field.zero
-    v = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for off in range(1, n):
-        for i in range(n - off):
-            j = i + off
-            acc = urows[i][j] * diag[j]
-            for k in range(i + 1, j):
-                if urows[i][k] and v[k][j]:
-                    acc = acc + urows[i][k] * diag[k] * v[k][j]
-            v[i][j] = acc / (diag[j] - diag[i])
-    return SLMatrix(field, v)
+    return _conjugate_in_borel(d, u * d)
 
 
 def unipotent_as_two_conjugates(t: SLMatrix, u: SLMatrix) -> Certificate:
-    """Length-2 certificate [(c_1, t, +1), (c_2, t, -1)] whose product is u.
-
-    Built as u = (w t w^-1) t^-1 pulled back through the diagonalization of t:
-    with v_0 t v_0^-1 = d and f(v) = u twisted-solved against d, the
-    conjugators are c_1 = v v_0 and c_2 = v_0.
-    """
-    v0, d = diagonalize_in_borel(t)
-    v = solve_twisted_conjugation(d, u)
-    c1 = v * v0
-    c2 = v0
+    """Length-2 certificate [(c_1, t, +1), (c_2, t, -1)] whose product is u:
+    c_1 t c_1^-1 = u D and c_2 t c_2^-1 = D for D = diag(t)."""
+    d = SLMatrix.diagonal(t.field, _require_regular_borel(t))
+    if not is_upper_unitriangular(u):
+        raise ValueError("expected an upper unitriangular matrix")
+    c1, c2 = _conjugate_in_borel(t, u * d), _conjugate_in_borel(t, d)
     return Certificate(
         field=t.field,
         n=t.n,

@@ -16,13 +16,26 @@ the identity, and ``test_oracle.py`` checks ``delta`` against it.
 change of basis, and ``level_choices_by_brute_force`` lists every (x, f) a
 level over a small F_p could take; ``test_decompose.py`` checks the level
 rule of ``decompose._choices`` against them.
+
+``diagonalize_in_borel`` and ``twisted_solve`` are the two graded
+recurrences ``slword.unipotent`` ran before its one solve in the Borel, and
+``two_letter_conjugators_by_products`` is the two-letter route's conjugators
+as they were built from them, through three diagonalizations and two
+unitriangular inverses; ``test_unipotent.py`` checks the solve against them.
+``weyl_representative_by_reduced_word`` is the product of simple reflection
+representatives along the lexicographically smallest reduced word, which
+``test_rootdata.py`` checks the closed form of ``weyl_representative``
+against.
 """
 
 from itertools import combinations, product
 
+from slword.bruhat import big_cell_decompose
+from slword.decompose import _sourour_basis
 from slword.fields import Field
-from slword.matrix import _mul_mod, mat_product
+from slword.matrix import SLMatrix, _mul_mod, mat_product
 from slword.oracle import DeltaReport, GroupTable, SubsetResult, _letters
+from slword.rootdata import longest_element_rep
 
 
 def mul_rows(a, b, field: Field):
@@ -275,3 +288,106 @@ def level_choices_by_brute_force(a, alpha, field: Field):
                     and sum(map(int.__mul__, fs, ys)) % p == alpha.val):
                 x, f = [field.scalar(v) for v in xs], [field.scalar(v) for v in fs]
                 yield x, f, is_scalar_rows(schur_in_basis(a, x, f, field))
+
+
+def diagonalize_in_borel(t):
+    """v upper unitriangular with v t v^-1 = diag(t), from v t = diag(t) v:
+    v_ij = (sum_{i<=k<j} v_ik t_kj) / (t_ii - t_jj)."""
+    field, n, trows = t.field, t.n, t.rows
+    one, zero = field.one, field.zero
+    v = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for off in range(1, n):
+        for i in range(n - off):
+            j = i + off
+            acc = zero
+            for k in range(i, j):
+                acc = acc + v[i][k] * trows[k][j]
+            v[i][j] = acc / (trows[i][i] - trows[j][j])
+    return SLMatrix(field, v)
+
+
+def twisted_solve(d, u):
+    """v upper unitriangular with v d v^-1 d^-1 = u for a regular diagonal d:
+    v_ij (d_j - d_i) = u_ij d_j + sum_{i<k<j} u_ik d_k v_kj."""
+    field, n, drows, urows = d.field, d.n, d.rows, u.rows
+    one, zero = field.one, field.zero
+    v = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for off in range(1, n):
+        for i in range(n - off):
+            j = i + off
+            acc = urows[i][j] * drows[j][j]
+            for k in range(i + 1, j):
+                acc = acc + urows[i][k] * drows[k][k] * v[k][j]
+            v[i][j] = acc / (drows[j][j] - drows[i][i])
+    return SLMatrix(field, v)
+
+
+def two_letter_conjugators_by_products(g, t):
+    """(c_1, c_2) of the two-letter route for a non-central g over t, through
+    the common diagonal: v_1 (n_0^-1 L n_0) v_1^-1 = v_t t v_t^-1 and
+    v_2 U v_2^-1 = v_t t^-1 v_t^-1."""
+    field, n = g.field, g.n
+    d = [row[i] for i, row in enumerate(t.rows)]
+    beta = d[::-1]
+    gamma = [1 / x for x in d]
+    s = _sourour_basis(g, [b * c for b, c in zip(beta, gamma)])
+    cell = big_cell_decompose(mat_product([s.inverse(), g, s]))
+    lower = cell.lower * SLMatrix.diagonal(field, beta)
+    upper = SLMatrix.diagonal(field, gamma) * cell.upper
+    n0 = longest_element_rep(field, n)
+    vt = diagonalize_in_borel(t)
+    v1 = diagonalize_in_borel(mat_product([n0.inverse(), lower, n0]))
+    v2 = diagonalize_in_borel(upper)
+    return mat_product([s, n0, v1.inverse(), vt]), mat_product([s, v2.inverse(), vt])
+
+
+def identity_perm(n):
+    return tuple(range(n))
+
+
+def inverse_perm(w):
+    inv = [0] * len(w)
+    for j, i in enumerate(w):
+        inv[i] = j
+    return tuple(inv)
+
+
+def simple_reflection_rep(field: Field, n, i):
+    """Representative of s_i: the [[0,1],[-1,0]] block at rows/cols (i, i+1)."""
+    one, zero = field.one, field.zero
+    rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    rows[i - 1][i - 1] = rows[i][i] = zero
+    rows[i - 1][i] = one
+    rows[i][i - 1] = -one
+    return SLMatrix(field, rows)
+
+
+def reduced_word(w):
+    """Lexicographically smallest reduced word for w, 1-based indices.
+
+    Greedy: repeatedly pick the smallest i with a left descent, i.e. with
+    value i appearing to the right of value i+1, and strip s_i off the left.
+    Yields the word (i_1, ..., i_N) with w = s_{i_1} ... s_{i_N}.
+    """
+    w = list(w)
+    n = len(w)
+    pos = [0] * n
+    for j, v in enumerate(w):
+        pos[v] = j
+    word = []
+    while True:
+        i = next((i for i in range(n - 1) if pos[i] > pos[i + 1]), None)
+        if i is None:
+            return word
+        word.append(i + 1)
+        # strip s_i on the left: swap the values i and i+1 in one-line form
+        w[pos[i]], w[pos[i + 1]] = w[pos[i + 1]], w[pos[i]]
+        pos[i], pos[i + 1] = pos[i + 1], pos[i]
+
+
+def weyl_representative_by_reduced_word(field: Field, w):
+    """The product of simple reflection representatives along
+    ``reduced_word(w)``."""
+    n = len(w)
+    return mat_product([SLMatrix.identity(field, n)]
+                       + [simple_reflection_rep(field, n, i) for i in reduced_word(w)])

@@ -19,7 +19,9 @@ from slword import (
     split_over_big_cell,
 )
 from slword.bruhat import in_big_cell
-from slword.rootdata import inverse_perm, longest_perm
+from slword.rootdata import longest_perm
+
+from reference_kernel import inverse_perm
 
 
 def matrices_of_sl2(p):

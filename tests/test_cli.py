@@ -428,13 +428,15 @@ GOLDEN_SHORT_CERTIFICATES = {
 }
 
 
-# SHA-256 of `certify --generator t --seed 5` for t = diag(2, 1, 1/2) and the
+# SHA-256 of `certify --generator t` for t = diag(2, 1, 1/2) and the
 # diagonal target diag(3, 1, 1/3): every e_j is an eigenvector of it, so the
 # level rule starts the basis at x = e_i + e_j; before the rule, that level
-# took seeded random draws
+# took seeded random draws.  Taken from `certify --generator t --seed 5` as it
+# was when that route still recorded its seed, with only "seed": 5 changed to
+# null: the route draws nothing at random
 GOLDEN_DIAGONAL_CERTIFICATES = {
-    "Q": "0ca242f55635ed3607205f71ffbfd0ecf1469e0f49b79756c0539f99ed1e4b16",
-    "Fp:101": "171a328cfa1d29f644700937da995436aaaad71339fbc444284edd616782270b",
+    "Q": "eaf3e6942cfbb8a378ffe6d3df79c956e6335f1508c7e621c8225270224befe8",
+    "Fp:101": "54a4ca19a4c1fee7c5d7dab375f5fc5457717c7301edc55d683fd9bce6ace5bf",
 }
 
 
@@ -504,12 +506,25 @@ def test_certify_generator_on_a_diagonal_target_is_byte_identical_to_golden(tmp_
     tgt = write_json(tmp_path / "g.json", matrix_to_json(SLMatrix.diagonal(field, [3, 1, one / 3])))
     gen = write_json(tmp_path / "t.json", matrix_to_json(SLMatrix.diagonal(field, [2, 1, one / 2])))
     code, stdout, _ = run_cli(
-        ["certify", "--field", field_arg, "--n", "3", "--target", tgt, "--generator", gen, "--seed", "5"],
+        ["certify", "--field", field_arg, "--n", "3", "--target", tgt, "--generator", gen],
         capsys,
     )
     assert code == 0
     assert json.loads(stdout)["meta"]["length"] == 2
     assert_golden(stdout, GOLDEN_DIAGONAL_CERTIFICATES[field_arg])
+
+
+def test_certify_generator_records_no_seed(tmp_path, target_file, generator_file, capsys, monkeypatch):
+    # nothing on the --generator route draws from an rng: --seed and
+    # $SLWORD_SEED are accepted and change nothing
+    request = ["certify", "--field", "Q", "--n", "2", "--target", target_file, "--generator", generator_file]
+    code, plain, _ = run_cli(request, capsys)
+    assert code == 0
+    meta = json.loads(plain)["meta"]
+    assert meta["seed"] is None and meta["bound_claimed"] == 14
+    assert run_cli(request + ["--seed", "2024"], capsys)[1] == plain
+    monkeypatch.setenv("SLWORD_SEED", "7")
+    assert run_cli(request, capsys)[1] == plain
 
 
 def test_certify_summary_names_route_radius_and_attempts(tmp_path, capsys):
@@ -664,14 +679,18 @@ def test_oracle_cap_exceeded_is_exit_4(capsys):
 
 @pytest.mark.parametrize("action", ["diameter", "delta", "transvection"])
 def test_oracle_refuses_an_over_cap_group_before_enumerating(action, capsys, monkeypatch):
-    # |SL(4,3)| = 12,130,560 is known from its formula, so no product is formed
+    # |SL(4,3)| = 12,130,560 is known from its formula, so no product is
+    # formed; delta is refused even earlier, as SL(4,3) has at least 3^3 classes
     def refuse(*args):
         raise AssertionError("a product was formed for a group over the cap")
 
     monkeypatch.setattr(oracle, "_mul_mod", refuse)
     code, stdout, stderr = run_cli(["oracle", action, "--n", "4", "--p", "3"], capsys)
     assert code == 4 and stdout == ""
-    assert stderr == "error: SL_4(F_3) exceeds the cap of 1000000 elements\n"
+    if action == "delta":
+        assert stderr == "error: at least 2^26 class subsets exceed the cap of 1048576\n"
+    else:
+        assert stderr == "error: SL_4(F_3) exceeds the cap of 1000000 elements\n"
 
 
 @pytest.mark.parametrize("cap,code", [("119", 4), ("120", 0)])
@@ -694,6 +713,25 @@ def test_oracle_delta_refuses_a_large_prime_at_once(capsys, no_enumeration):
     assert time.perf_counter() - start < 5
     assert code == 4 and stdout == ""
     assert stderr == f"error: 2^{p + 3} class subsets exceed the cap of 1048576\n"
+
+
+@pytest.mark.parametrize("n,p,m", [(3, 5, 25), (4, 3, 27), (10**6, 10**18 + 3, 10**18 + 3)],
+                         ids=["SL(3,5)", "SL(4,3)", "huge"])
+def test_oracle_delta_refuses_an_over_cap_sl_n_before_enumerating(n, p, m, capsys, no_enumeration):
+    # SL(n, p) has at least p^(n-1) classes; the power stops once it is over the cap
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(["oracle", "delta", "--n", str(n), "--p", str(p)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 4 and stdout == ""
+    assert stderr == f"error: at least 2^{m - 1} class subsets exceed the cap of 1048576\n"
+
+
+@pytest.mark.parametrize("n,p", [(3, 2), (3, 3)] + [(2, p) for p in [2, 3, 5, 7, 11, 13]])
+def test_sl_n_class_count_is_at_least_p_to_the_n_minus_1(n, p):
+    # one class per characteristic polynomial: the early refusal's lower bound
+    m = len(oracle.enumerate_group(n, p).classes)
+    assert m >= p ** (n - 1)
+    oracle.require_delta_subsets(n, p, 2 ** (m - 1))
 
 
 def test_subset_cap_by_exponent_equals_the_power():

@@ -1,7 +1,14 @@
 from fractions import Fraction
 
+from itertools import permutations
+
 import pytest
-from reference_kernel import is_lower_unitriangular
+from reference_kernel import (
+    identity_perm,
+    is_lower_unitriangular,
+    reduced_word,
+    weyl_representative_by_reduced_word,
+)
 
 from slword import (
     GF,
@@ -16,7 +23,7 @@ from slword import (
     standard_generators,
     weyl_representative,
 )
-from slword.rootdata import identity_perm, longest_perm, reduced_word, simple_reflection_rep
+from slword.rootdata import longest_perm
 
 
 def test_elementary_basics():
@@ -63,7 +70,7 @@ def test_coroot_product_map_is_injective(rng):
 
 
 def test_simple_reflection_shape():
-    s1 = simple_reflection_rep(QQ, 2, 1)
+    s1 = weyl_representative(QQ, (1, 0))
     assert s1 == SLMatrix(QQ, [[0, 1], [-1, 0]])
     # conjugation sends the positive root group to the negative one
     x = Fraction(7, 3)
@@ -81,6 +88,19 @@ def test_reduced_word_for_longest_element():
 
 def test_weyl_representative_of_identity():
     assert weyl_representative(QQ, identity_perm(3)) == SLMatrix.identity(QQ, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_weyl_representative_is_the_reduced_word_product(field):
+    # Tits' lemma: the closed form is the product along any reduced word
+    for n in range(2, 6):
+        for w in permutations(range(n)):
+            assert weyl_representative(field, w) == weyl_representative_by_reduced_word(field, w)
+
+
+def test_weyl_representative_rejects_a_non_permutation():
+    with pytest.raises(ValueError):
+        weyl_representative(QQ, (0, 0))
 
 
 def test_longest_element_small_cases():

@@ -1,18 +1,26 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slword import (
     GF,
     QQ,
     SLMatrix,
-    diagonalize_in_borel,
+    decompose,
     elementary,
+    is_central,
     mat_product,
+    random_sl,
     solve_twisted_conjugation,
     unipotent_as_two_conjugates,
     verify_certificate,
 )
+from slword.unipotent import _conjugate_in_borel
+
+from reference_kernel import diagonalize_in_borel, twisted_solve, two_letter_conjugators_by_products
 
 
 def random_unitriangular(field, n, rng, bound=5):
@@ -35,18 +43,20 @@ def random_distinct_diagonal(field, n, rng, bound=6):
             return SLMatrix.diagonal(field, ds)
 
 
+def diagonal_of(t):
+    return SLMatrix.diagonal(t.field, [t.rows[i][i] for i in range(t.n)])
+
+
 def test_diagonalize_already_diagonal():
     d = SLMatrix.diagonal(QQ, [2, Fraction(1, 2)])
-    v, diag = diagonalize_in_borel(d)
-    assert v.is_identity()
-    assert diag == d
+    assert _conjugate_in_borel(d, d).is_identity()
 
 
 def test_diagonalize_worked_example():
     t = SLMatrix(QQ, [[2, 1], [0, Fraction(1, 2)]])
-    v, d = diagonalize_in_borel(t)
+    d = SLMatrix.diagonal(QQ, [2, Fraction(1, 2)])
+    v = _conjugate_in_borel(t, d)
     assert v == elementary(QQ, 2, 1, 2, Fraction(2, 3))
-    assert d == SLMatrix.diagonal(QQ, [2, Fraction(1, 2)])
     assert mat_product([v, t, v.inverse()]) == d
 
 
@@ -56,15 +66,15 @@ def test_diagonalize_random_4x4_mod_11(rng):
         d = random_distinct_diagonal(field, 4, rng)
         u = random_unitriangular(field, 4, rng)
         t = mat_product([u, d, u.inverse()])  # upper triangular with d's diagonal
-        v, diag = diagonalize_in_borel(t)
-        assert mat_product([v, t, v.inverse()]) == diag
+        v = _conjugate_in_borel(t, d)
+        assert mat_product([v, t, v.inverse()]) == d
 
 
 def test_diagonalize_rejects_repeated_diagonal():
-    with pytest.raises(ValueError):
-        diagonalize_in_borel(elementary(QQ, 2, 1, 2, 1))
-    with pytest.raises(ValueError):
-        diagonalize_in_borel(SLMatrix(QQ, [[-1, 1], [0, -1]]))
+    # the solve divides by differences of diagonal entries; its callers check them
+    for t in (elementary(QQ, 2, 1, 2, 1), SLMatrix(QQ, [[-1, 1], [0, -1]])):
+        with pytest.raises(ValueError):
+            unipotent_as_two_conjugates(t, SLMatrix.identity(QQ, 2))
 
 
 def test_twisted_solve_identity():
@@ -147,3 +157,32 @@ def test_two_conjugates_random(n, rng):
         cert = unipotent_as_two_conjugates(t, u)
         assert cert.length == 2
         assert verify_certificate(cert)
+
+
+@st.composite
+def borel_cases(draw):
+    """A regular upper triangular t, an upper unitriangular u and a
+    non-central g; a regular t over F_p needs p > n + 1."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(11), GF(101)]))
+    n = draw(st.integers(2, 6 if field.p is None else min(6, field.p - 2)))
+    rng = Random(draw(st.integers(0, 2**32)))
+    t = random_unitriangular(field, n, rng, bound=3) * random_distinct_diagonal(field, n, rng)
+    g = random_sl(field, n, rng, factors=draw(st.integers(1, 3 * n)))
+    assume(not is_central(g))
+    return t, random_unitriangular(field, n, rng, bound=3), g
+
+
+# the one solve against the two recurrences it replaced, and the two-letter
+# route's conjugators against the products they were built from
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(borel_cases())
+def test_solve_equals_the_reference_recurrences(case):
+    t, u, g = case
+    d = diagonal_of(t)
+    vt = diagonalize_in_borel(t)
+    assert _conjugate_in_borel(t, d) == vt
+    assert solve_twisted_conjugation(d, u) == twisted_solve(d, u)
+    cert = unipotent_as_two_conjugates(t, u)
+    assert [l.conjugator for l in cert.word] == [twisted_solve(d, u) * vt, vt]
+    c1, c2 = (l.conjugator for l in decompose._two_letter_word(g, t))
+    assert (c1, c2) == two_letter_conjugators_by_products(g, t)
