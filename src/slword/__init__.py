@@ -39,7 +39,6 @@ from .decompose import (
 from .fields import GF, QQ, Field, Fp, Scalar
 from .matrix import (
     SLMatrix,
-    conjugate,
     is_central,
     is_diagonal,
     is_upper_triangular,

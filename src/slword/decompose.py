@@ -73,6 +73,7 @@ from .certificate import (
 from .fields import Field
 from .matrix import (
     SLMatrix,
+    _repeated_diagonal,
     is_central,
     is_upper_unitriangular,
     mat_product,
@@ -167,14 +168,8 @@ def random_sl_bounded(field: Field, n: int, rng: Random, bound: int = 10, tries:
     """
     for _ in range(tries):
         g = random_sl(field, n, rng, factors=n + 1, bound=1)
-        if field.p is not None:
-            return g
-        ok = all(
-            abs(e.numerator) <= bound and e.denominator <= bound
-            for row in g.rows
-            for e in row
-        )
-        if ok:
+        # over Q random_sl has denominator 1, so the entries are the ints
+        if field.p is not None or max(map(abs, g.entries)) <= bound:
             return g
     raise SearchBudgetExceeded("sampling a height-bounded element", tries)
 
@@ -461,7 +456,8 @@ def _sample_ball_element(X: GeneratingSet, inverses: tuple, rng: Random, radius:
 def _rank(entries: list, n: int, p: int | None) -> int:
     """Rank of the n-by-n int matrix ``entries`` over F_p, or over Q when p
     is None, by elimination that only scales rows by nonzero ints: residues
-    stay reduced mod p, integer rows are divided by their content."""
+    stay reduced mod p, as the rank mod p is not the rank over Z, and
+    integer rows are divided by their content."""
     m = [entries[i : i + n] for i in range(0, n * n, n)]
     if p is not None:
         m = [[x % p for x in row] for row in m]
@@ -570,8 +566,7 @@ def find_regular_in_ball(
         t = left.target * right.target
         word = left.word + right.word
         left = None
-        diag = t.entries[:: n + 1]  # one common denominator: equal ints, equal entries
-        if not all(diag[i] != diag[j] for i in range(n) for j in range(i + 1, n)):
+        if _repeated_diagonal(t) is not None:
             rejected += 2
             continue
         stats = {"radius": r, "samples": attempts, "cell_misses": misses,

@@ -19,9 +19,10 @@ Representation: the n*n entries are plain ints, row-major in one flat tuple
 Both forms are canonical, so two matrices are equal exactly when their
 (field, n, entries, den) are, and zero and equality tests on entries are int
 tests.  No per-entry scalar objects are built: products accumulate row times
-column sums (reduced mod p, or over the product of the denominators); inverses
-and determinants use Gauss-Jordan and Gaussian elimination mod p, and
-fraction-free (Bareiss) elimination on the integer numerators over Q.
+column sums (reduced mod p, or over the product of the denominators).  The
+determinant and the inverse each have one elimination for both fields, on
+integers: fraction-free (Bareiss) elimination on the numerators over Q and on
+the residues over F_p, whose integer result is then reduced mod p.
 ``mat_product`` carries a whole chain through these kernels and builds one
 matrix at the end.  The F_p kernels are shared with :mod:`slword.oracle`.
 
@@ -231,48 +232,6 @@ def _product(p: int | None, n: int, a: tuple, da: int, b: tuple, db: int) -> tup
     return c, d
 
 
-def _det_mod(a: tuple, n: int, p: int) -> int:
-    """Determinant over F_p by Gaussian elimination, as a residue."""
-    m = [list(a[i : i + n]) for i in range(0, n * n, n)]
-    det = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        prow = m[c]
-        det = det * prow[c] % p
-        f = pow(prow[c], -1, p)
-        for r in range(c + 1, n):
-            row = m[r]
-            if row[c] % p:
-                g = row[c] * f % p
-                m[r] = [(x - g * y) % p for x, y in zip(row, prow)]
-    return det % p
-
-
-def _inverse_mod(a: tuple, n: int, p: int) -> tuple:
-    """Inverse over F_p by Gauss-Jordan elimination; a must be invertible."""
-    m = [list(a[i : i + n]) for i in range(0, n * n, n)]
-    inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if m[r][c] % p)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            inv[c], inv[piv] = inv[piv], inv[c]
-        f = pow(m[c][c], -1, p)
-        m[c] = [x * f % p for x in m[c]]
-        inv[c] = [x * f % p for x in inv[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[c])]
-                inv[r] = [(x - f * y) % p for x, y in zip(inv[r], inv[c])]
-    return tuple([x for row in inv for x in row])
-
-
 def _det_int(a: tuple, n: int) -> int:
     """Determinant of an integer matrix by fraction-free (Bareiss) elimination:
     every division is exact, so entries stay minors of a."""
@@ -295,12 +254,11 @@ def _det_int(a: tuple, n: int) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _inverse_q(a: tuple, den: int, n: int) -> tuple[tuple, int]:
-    """(entries, den) of the inverse of a / den over Q.
+def _inverse_int(a: tuple, n: int) -> tuple[list, int]:
+    """(d*a^-1 as flat ints, d) for an invertible integer matrix a.
 
     Fraction-free Gauss-Jordan on [a | I] ends with [d*I | d*a^-1] for one
-    integer pivot d, every division along the way exact; then
-    (a / den)^-1 = den * (d*a^-1) / d, reduced to lowest terms.
+    integer pivot d = +-det a, every division along the way exact.
     """
     m = [list(a[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
     prev = 1
@@ -316,17 +274,32 @@ def _inverse_q(a: tuple, den: int, n: int) -> tuple[tuple, int]:
                 f = row[c]
                 m[r] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
         prev = pv
-    if prev < 0:
-        den, prev = -den, -prev
-    entries = [x * den for row in m for x in row[n:]]
-    g = gcd(prev, *entries)
-    return tuple([x // g for x in entries]), prev // g
+    return [x for row in m for x in row[n:]], prev
+
+
+def _inverse_q(a: tuple, den: int, n: int) -> tuple[tuple, int]:
+    """(entries, den) of the inverse of a / den over Q:
+    (a / den)^-1 = den * (d*a^-1) / d, reduced to lowest terms."""
+    entries, d = _inverse_int(a, n)
+    if d < 0:
+        den, d = -den, -d
+    entries = [x * den for x in entries]
+    g = gcd(d, *entries)
+    return tuple([x // g for x in entries]), d // g
+
+
+def _inverse_mod(a: tuple, n: int, p: int) -> tuple:
+    """Inverse over F_p of the residues a, invertible mod p: the integer
+    inverse, reduced.  d = +-det a is nonzero mod p, so a unit."""
+    entries, d = _inverse_int(a, n)
+    f = pow(d, -1, p)
+    return tuple([x * f % p for x in entries])
 
 
 def _det_scalar(field: Field, n: int, entries: tuple, den: int) -> Scalar:
     if field.p is None:
         return Fraction(_det_int(entries, n), den**n)
-    return Fp(_det_mod(entries, n, field.p), field.p)
+    return Fp(_det_int(entries, n), field.p)
 
 
 def mat_product(mats: Iterable[SLMatrix]) -> SLMatrix:
@@ -348,11 +321,6 @@ def mat_product(mats: Iterable[SLMatrix]) -> SLMatrix:
     return SLMatrix._wrap(field, n, acc, den)
 
 
-def conjugate(g: SLMatrix, c: SLMatrix) -> SLMatrix:
-    """c g c^-1."""
-    return mat_product([c, g, c.inverse()])
-
-
 # shape predicates, on the flat entries: an entry is zero iff its int is 0,
 # and equals 1 iff its int equals den
 
@@ -369,6 +337,12 @@ def is_upper_triangular(g: SLMatrix) -> bool:
 
 def is_upper_unitriangular(g: SLMatrix) -> bool:
     return is_upper_triangular(g) and all(e == g.den for e in g.entries[:: g.n + 1])
+
+
+def _repeated_diagonal(g: SLMatrix) -> tuple[int, int] | None:
+    """The first positions i < j of equal diagonal entries, or None."""
+    n, diag = g.n, g.entries[:: g.n + 1]
+    return next(((i, j) for i in range(n) for j in range(i + 1, n) if diag[i] == diag[j]), None)
 
 
 def is_central(g: SLMatrix) -> bool:

@@ -3,8 +3,10 @@ conjugacy classes, exact conjugate-word norms, diameters and the invariants
 Delta / Delta_k.
 
 Elements are flat row-major tuples of residues, as :class:`SLMatrix` stores
-them over F_p, so the breadth-first searches run on the matrix module's F_p
-kernels; :class:`SLMatrix` objects appear only at the API boundary.
+them over F_p, so the breadth-first searches run on the matrix module's flat
+int kernels (a product reduced mod p, and the integer determinant and
+inverse of the residues, reduced once); :class:`SLMatrix` objects appear only
+at the API boundary.
 
 Word norms here are with respect to a set of conjugacy classes: the letter
 set of a class selection is the union of the chosen classes and their inverse
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .fields import GF
-from .matrix import SLMatrix, _det_mod, _inverse_mod, _mul_mod
+from .matrix import SLMatrix, _det_int, _inverse_mod, _mul_mod
 from .rootdata import elementary, standard_generators
 
 
@@ -87,14 +89,17 @@ def _require_subsets(m: int, subset_cap: int, at_least: str = "") -> None:
 
 def require_delta_subsets(n: int, p: int, subset_cap: int) -> None:
     """Refuse an over-cap ``delta`` before enumerating, from the class count
-    m of SL(n, p): p + 4 for n = 2, p odd, and 3 for SL(2, 2); for n >= 3 at
-    least p^(n-1), one class per characteristic polynomial, as the companion
-    matrix of each monic degree-n polynomial with constant term (-1)^n lies
-    in SL_n."""
+    m of SL(n, p): p + 4 for n = 2, p odd, and 3 for SL(2, 2); for n = 3
+    at least p^2 + p, the count when 3 does not divide p - 1 (p^2 + p + 8
+    when it does); for n >= 4 at least p^(n-1), one class per
+    characteristic polynomial, as the companion matrix of each monic
+    degree-n polynomial with constant term (-1)^n lies in SL_n."""
     GF(p)  # a bad p stays an input error
     if n == 2:
         _require_subsets(p + 4 if p > 2 else 3, subset_cap)
-    elif n > 2:
+    elif n == 3:
+        _require_subsets(p * p + p, subset_cap, "at least ")
+    elif n > 3:
         # p^(n-1), multiplied out only until 2^(m-1) is over the cap
         m, bits = 1, max(subset_cap, 0).bit_length()
         for _ in range(n - 1):
@@ -175,7 +180,7 @@ def brute_force_elements(n: int, p: int) -> set[tuple]:
     Exponential in n^2; only sane for the tiny groups the tests cross-check.
     Kept deliberately independent of :func:`enumerate_group`.
     """
-    return {e for e in product(range(p), repeat=n * n) if _det_mod(e, n, p) == 1}
+    return {e for e in product(range(p), repeat=n * n) if _det_int(e, n) % p == 1}
 
 
 def _letters(table: GroupTable, class_ids) -> list[int]:

@@ -18,13 +18,19 @@ off-diagonal entry at (i, i+1) or (i+1, i)):
     t  =  x_r ... x_1  u_r ... u_1  v_1 ... v_r  w_1 ... w_r,
 
 with x_i, v_i lower and u_i, w_i upper.  Writing t = c_1 ... c_r as a product
-of coroots (coordinates a_i = d_1 ... d_i) and s_i = c_1 ... c_{i-1}, the
-slots are the lower-first SL_2 factors for a_i embedded at rows (i, i+1),
-with x_i and u_i conjugated by s_i.  Conjugating by the diagonal s_i only
-rescales the off-diagonal entry, so every slot stays in its root group, and
-the interleaved blocks recombine because U_{alpha_i} commutes with
-U_{-alpha_j} for i != j.  The ordering is not taken on faith: the tests
-multiply everything back out.
+of coroots (coordinates a_i = d_1 ... d_i, a_0 = 1), the slots are the
+lower-first SL_2 factors for a_i embedded at rows (i, i+1), with x_i and u_i
+conjugated by s_i = c_1 ... c_{i-1}.  s_i is diagonal with entries a_{i-1}^-1
+and 1 at i and i+1, so conjugating by it only rescales the off-diagonal
+entry, and the slots are written down rescaled:
+
+    x_i = E_{i+1,i}((1 - a_i^-1) a_{i-1}),   u_i = E_{i,i+1}(-a_{i-1}^-1),
+    v_i = E_{i+1,i}(1 - a_i),                 w_i = E_{i,i+1}(a_i^-1).
+
+Every slot stays in its root group, and the interleaved blocks recombine
+because U_{alpha_i} commutes with U_{-alpha_j} for i != j.  The ordering is
+not taken on faith: the tests multiply everything back out, and compare the
+slots with the conjugated ones.
 
 Slots for a_i = 1 are identity matrices, so factoring the identity yields 4r
 identity factors.
@@ -32,8 +38,8 @@ identity factors.
 
 from __future__ import annotations
 
-from .matrix import SLMatrix, conjugate, is_diagonal, mat_product
-from .rootdata import coroot, elementary
+from .matrix import SLMatrix, is_diagonal
+from .rootdata import elementary
 
 
 def sl2_coroot_factor(x) -> tuple:
@@ -68,21 +74,20 @@ def torus_factor(t: SLMatrix) -> list[SLMatrix]:
     field, n = t.field, t.n
     coords = coroot_coordinates(t)
     ident = SLMatrix.identity(field, n)
-    xs, us, vs, ws = [], [], [], []
-    s = ident
+    slots = []
+    prev = field.one  # a_{i-1}
     for i in range(1, n):
         a = coords[i - 1]
         if a == field.one:
-            x_slot = u_slot = v_slot = w_slot = ident
+            slots.append((ident,) * 4)
         else:
             ainv = a ** -1
-            x_slot = elementary(field, n, i + 1, i, 1 - ainv)
-            u_slot = elementary(field, n, i, i + 1, -field.one)
-            v_slot = elementary(field, n, i + 1, i, 1 - a)
-            w_slot = elementary(field, n, i, i + 1, ainv)
-        xs.append(conjugate(x_slot, s))
-        us.append(conjugate(u_slot, s))
-        vs.append(v_slot)
-        ws.append(w_slot)
-        s = s * coroot(field, n, i, a)
-    return xs[::-1] + us[::-1] + vs + ws
+            slots.append((
+                elementary(field, n, i + 1, i, (1 - ainv) * prev),
+                elementary(field, n, i, i + 1, -1 / prev),
+                elementary(field, n, i + 1, i, 1 - a),
+                elementary(field, n, i, i + 1, ainv),
+            ))
+        prev = a
+    xs, us, vs, ws = zip(*slots)
+    return list(xs[::-1] + us[::-1] + vs + ws)

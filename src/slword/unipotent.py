@@ -23,21 +23,25 @@ reference recurrences.
 from __future__ import annotations
 
 from .certificate import Certificate, Letter
-from .matrix import SLMatrix, is_diagonal, is_upper_triangular, is_upper_unitriangular
+from .matrix import (
+    SLMatrix,
+    _entry_strings,
+    _repeated_diagonal,
+    is_diagonal,
+    is_upper_triangular,
+    is_upper_unitriangular,
+)
 
 
 def _require_regular_borel(t: SLMatrix):
     if not is_upper_triangular(t):
         raise ValueError("expected an upper triangular matrix")
-    rows = t.rows
-    diag = [rows[i][i] for i in range(t.n)]
-    for i in range(t.n):
-        for j in range(i + 1, t.n):
-            if diag[i] == diag[j]:
-                raise ValueError(
-                    f"diagonal entries {t.field.format(diag[i])} at positions {i + 1} and {j + 1} coincide"
-                )
-    return diag
+    pair = _repeated_diagonal(t)
+    if pair is not None:
+        i, j = pair
+        raise ValueError(
+            f"diagonal entries {_entry_strings(t)[i * (t.n + 1)]} at positions {i + 1} and {j + 1} coincide"
+        )
 
 
 def _conjugate_in_borel(a: SLMatrix, b: SLMatrix) -> SLMatrix:
@@ -78,7 +82,8 @@ def solve_twisted_conjugation(d: SLMatrix, u: SLMatrix) -> SLMatrix:
 def unipotent_as_two_conjugates(t: SLMatrix, u: SLMatrix) -> Certificate:
     """Length-2 certificate [(c_1, t, +1), (c_2, t, -1)] whose product is u:
     c_1 t c_1^-1 = u D and c_2 t c_2^-1 = D for D = diag(t)."""
-    d = SLMatrix.diagonal(t.field, _require_regular_borel(t))
+    _require_regular_borel(t)
+    d = SLMatrix.diagonal(t.field, [row[i] for i, row in enumerate(t.rows)])
     if not is_upper_unitriangular(u):
         raise ValueError("expected an upper unitriangular matrix")
     c1, c2 = _conjugate_in_borel(t, u * d), _conjugate_in_borel(t, d)

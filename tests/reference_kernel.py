@@ -26,6 +26,13 @@ unitriangular inverses; ``test_unipotent.py`` checks the solve against them.
 representatives along the lexicographically smallest reduced word, which
 ``test_rootdata.py`` checks the closed form of ``weyl_representative``
 against.
+
+``conjugate`` and ``commutator`` are the group words the tests use.
+``torus_factor_by_conjugation`` is ``torus_factor`` as it conjugated two of
+its slots by a coroot product, and ``random_big_cell_element_by_coroots`` is
+the splitting's random big-cell element with its torus part multiplied out of
+coroots; ``test_torus.py`` and ``test_bruhat.py`` check the closed forms
+against them.
 """
 
 from itertools import combinations, product
@@ -35,7 +42,8 @@ from slword.decompose import _sourour_basis
 from slword.fields import Field
 from slword.matrix import SLMatrix, _mul_mod, mat_product
 from slword.oracle import DeltaReport, GroupTable, SubsetResult, _letters
-from slword.rootdata import longest_element_rep
+from slword.rootdata import coroot, elementary, longest_element_rep
+from slword.torus import coroot_coordinates
 
 
 def mul_rows(a, b, field: Field):
@@ -160,6 +168,53 @@ def rank_rows(rows):
 def commutator(g, h):
     """g h g^-1 h^-1."""
     return mat_product([g, h, g.inverse(), h.inverse()])
+
+
+def conjugate(g, c):
+    """c g c^-1."""
+    return mat_product([c, g, c.inverse()])
+
+
+def torus_factor_by_conjugation(t):
+    """``torus_factor`` with x_i and u_i conjugated by the coroot product
+    s_i = c_1(a_1) ... c_{i-1}(a_{i-1}) rather than rescaled."""
+    field, n = t.field, t.n
+    coords = coroot_coordinates(t)
+    ident = SLMatrix.identity(field, n)
+    xs, us, vs, ws = [], [], [], []
+    s = ident
+    for i in range(1, n):
+        a = coords[i - 1]
+        if a == field.one:
+            x_slot = u_slot = v_slot = w_slot = ident
+        else:
+            ainv = a ** -1
+            x_slot = elementary(field, n, i + 1, i, 1 - ainv)
+            u_slot = elementary(field, n, i, i + 1, -field.one)
+            v_slot = elementary(field, n, i + 1, i, 1 - a)
+            w_slot = elementary(field, n, i, i + 1, ainv)
+        xs.append(conjugate(x_slot, s))
+        us.append(conjugate(u_slot, s))
+        vs.append(v_slot)
+        ws.append(w_slot)
+        s = s * coroot(field, n, i, a)
+    return xs[::-1] + us[::-1] + vs + ws
+
+
+def random_big_cell_element_by_coroots(field: Field, n, rng, bound):
+    """``bruhat._random_big_cell_element`` with its torus part built as the
+    product of n - 1 coroots, from the same draws in the same order."""
+    one, zero = field.one, field.zero
+    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    upper = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            lower[i][j] = field.random_scalar(rng, bound)
+            upper[j][i] = field.random_scalar(rng, bound)
+    t = SLMatrix.identity(field, n)
+    for i in range(1, n):
+        t = t * coroot(field, n, i, field.random_nonzero(rng, bound))
+    return mat_product([SLMatrix(field, lower), t, SLMatrix(field, upper)])
 
 
 def central_class_indices(table: GroupTable):

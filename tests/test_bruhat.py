@@ -18,10 +18,10 @@ from slword import (
     random_sl,
     split_over_big_cell,
 )
-from slword.bruhat import in_big_cell
+from slword.bruhat import _random_big_cell_element, in_big_cell
 from slword.rootdata import longest_perm
 
-from reference_kernel import inverse_perm
+from reference_kernel import inverse_perm, random_big_cell_element_by_coroots
 
 
 def matrices_of_sl2(p):
@@ -179,3 +179,16 @@ def test_split_budget_exhaustion_reports_attempts():
     with pytest.raises(SearchBudgetExceeded) as exc:
         split_over_big_cell(longest_element_rep(QQ, 2), rng, budget=0)
     assert exc.value.attempts == 0
+
+
+@pytest.mark.parametrize("p", [None, 7, 101])
+def test_random_big_cell_element_is_the_coroot_product(p):
+    # one diagonal from the n - 1 draws, against n - 1 coroot products
+    field = QQ if p is None else GF(p)
+    for n in range(2, 7):
+        for seed in range(10):
+            rng, ref_rng = Random(seed), Random(seed)
+            bound = 2 + seed
+            g = _random_big_cell_element(field, n, rng, bound)
+            assert g == random_big_cell_element_by_coroots(field, n, ref_rng, bound)
+            assert rng.getstate() == ref_rng.getstate()

@@ -715,10 +715,11 @@ def test_oracle_delta_refuses_a_large_prime_at_once(capsys, no_enumeration):
     assert stderr == f"error: 2^{p + 3} class subsets exceed the cap of 1048576\n"
 
 
-@pytest.mark.parametrize("n,p,m", [(3, 5, 25), (4, 3, 27), (10**6, 10**18 + 3, 10**18 + 3)],
+@pytest.mark.parametrize("n,p,m", [(3, 5, 30), (4, 3, 27), (10**6, 10**18 + 3, 10**18 + 3)],
                          ids=["SL(3,5)", "SL(4,3)", "huge"])
 def test_oracle_delta_refuses_an_over_cap_sl_n_before_enumerating(n, p, m, capsys, no_enumeration):
-    # SL(n, p) has at least p^(n-1) classes; the power stops once it is over the cap
+    # SL(3, p) has at least p^2 + p classes, and SL(n, p) for n >= 4 at least
+    # p^(n-1); the power stops once it is over the cap
     start = time.perf_counter()
     code, stdout, stderr = run_cli(["oracle", "delta", "--n", str(n), "--p", str(p)], capsys)
     assert time.perf_counter() - start < 1
@@ -726,11 +727,26 @@ def test_oracle_delta_refuses_an_over_cap_sl_n_before_enumerating(n, p, m, capsy
     assert stderr == f"error: at least 2^{m - 1} class subsets exceed the cap of 1048576\n"
 
 
+@pytest.mark.parametrize("n,p,cap", [(3, 3, 1000), (3, 5, 2**25)], ids=["SL(3,3)", "SL(3,5)"])
+def test_oracle_delta_refuses_sl3_from_its_class_count_before_enumerating(n, p, cap, capsys,
+                                                                        no_enumeration):
+    # caps between 2^(p^2 - 1) and 2^(p^2 + p - 1): refused by p^2 + p, not
+    # after enumerating the group
+    code, stdout, stderr = run_cli(
+        ["oracle", "delta", "--n", str(n), "--p", str(p), "--subset-cap", str(cap)], capsys
+    )
+    assert code == 4 and stdout == ""
+    assert stderr == f"error: at least 2^{p * p + p - 1} class subsets exceed the cap of {cap}\n"
+
+
 @pytest.mark.parametrize("n,p", [(3, 2), (3, 3)] + [(2, p) for p in [2, 3, 5, 7, 11, 13]])
 def test_sl_n_class_count_is_at_least_p_to_the_n_minus_1(n, p):
-    # one class per characteristic polynomial: the early refusal's lower bound
+    # one class per characteristic polynomial, and for SL(3, p) with 3 not
+    # dividing p - 1 exactly p^2 + p: the early refusal's lower bounds
     m = len(oracle.enumerate_group(n, p).classes)
     assert m >= p ** (n - 1)
+    if n == 3:
+        assert m == p * p + p
     oracle.require_delta_subsets(n, p, 2 ** (m - 1))
 
 

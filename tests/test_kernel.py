@@ -1,8 +1,9 @@
 """The flat int kernels against the scalar reference in
 ``reference_kernel.py``: products, inverses and determinants of
-``slword.matrix`` on random matrices over Q and F_p for n = 2..6, and the
-kernels of the regular-element search (``random_sl`` and its inverse, n_0,
-the big-cell LDU and the rank in ``smallest_radius``)."""
+``slword.matrix`` on random matrices over Q and F_p for n = 2..6, the F_p
+determinant and inverse at the primes 2, 3 and 10^18 + 3, and the kernels of
+the regular-element search (``random_sl`` and its inverse, n_0, the big-cell
+LDU and the rank in ``smallest_radius``)."""
 
 from fractions import Fraction
 from math import lcm
@@ -99,6 +100,21 @@ def test_inverse_matches_reference(m):
     else:
         inv, inv_den = _inverse_mod(entries, n, field.p), 1
     assert scalars(field, n, inv, inv_den) == inverse_rows(rows, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 10**18 + 3)), st.integers(min_value=2, max_value=4), st.data())
+def test_det_and_inverse_mod_p_at_the_edges_of_the_reduction(p, n, data):
+    # F_p's determinant and inverse are the integer ones of the residues,
+    # reduced; at p = 2 and 3 the integer minors leave [0, p) at once, and
+    # at p = 10^18 + 3 they reach about 10^(18 n)
+    field = GF(p)
+    _, _, rows = data.draw(square(field, n))
+    entries, _ = flat(field, rows)
+    det = det_rows(rows, field)
+    assert _det_scalar(field, n, entries, 1) == det
+    if det:
+        assert scalars(field, n, _inverse_mod(entries, n, p), 1) == inverse_rows(rows, field)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_kernel import commutator
+from reference_kernel import commutator, conjugate
 
 from slword import (
     GF,
     QQ,
     SLMatrix,
-    conjugate,
     is_central,
     leading_principal_minors,
     mat_product,

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 from reference_kernel import (
+    conjugate,
     identity_perm,
     is_lower_unitriangular,
     reduced_word,
@@ -14,7 +15,6 @@ from slword import (
     GF,
     QQ,
     SLMatrix,
-    conjugate,
     coroot,
     elementary,
     is_diagonal,

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_kernel import torus_factor_by_conjugation
 
 from slword import (
     GF,
@@ -168,3 +169,22 @@ def test_torus_factor_random(rng):
 def test_torus_factor_rejects_non_diagonal():
     with pytest.raises(ValueError):
         torus_factor(elementary(QQ, 2, 1, 2, 1))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_torus_factor_equals_the_conjugated_slots(data):
+    # x_i and u_i rescaled by a_{i-1}, against the slots conjugated by
+    # s_i = c_1 ... c_{i-1}; a prefix d_1 ... d_i = 1 gives identity slots
+    field = data.draw(st.sampled_from([QQ, GF(7), GF(11), GF(101)]))
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    if field.p is None:
+        scalar = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    else:
+        scalar = st.integers(min_value=0, max_value=field.p - 1).map(field.scalar)
+    ds = data.draw(st.lists(scalar.filter(bool), min_size=n - 1, max_size=n - 1))
+    prod = field.one
+    for d in ds:
+        prod = prod * d
+    t = SLMatrix.diagonal(field, ds + [1 / prod])
+    assert torus_factor(t) == torus_factor_by_conjugation(t)
