@@ -8,7 +8,6 @@ exact word-norm diameters of small finite SL_n(F_p).
 from .bruhat import (
     BigCellForm,
     BruhatForm,
-    SearchBudgetExceeded,
     big_cell_decompose,
     bruhat_decompose,
     split_over_big_cell,
@@ -27,6 +26,7 @@ from .certificate import (
 )
 from .decompose import (
     GeneratingSet,
+    SearchBudgetExceeded,
     decompose_as_conjugates_of,
     decompose_full,
     decompose_via_sourour,
@@ -62,7 +62,6 @@ from .oracle import (
     transvection_diameter,
 )
 from .rootdata import (
-    coroot,
     elementary,
     longest_element_rep,
     standard_generators,

@@ -1,4 +1,4 @@
-"""Bruhat and big-cell decompositions in SL_n, plus the open-cell splitting
+"""Bruhat and big-cell decompositions in SL_n, plus the big-cell splitting
 of the seven-block route.
 
 Big cell: g lies in U- T U exactly when all leading principal minors of g are
@@ -11,28 +11,24 @@ requiring u[i][j] = 0 whenever i < j and w^-1(i) < w^-1(j), which the
 elimination below produces automatically.  The representative of w is the
 pinned one from :mod:`slword.rootdata`, so all sign bookkeeping lands in b.
 
-``split_over_big_cell`` writes g = h * h' with h' and h^-1 in U- T U.  Such a
-splitting always exists over an infinite field because the valid h' form a
-dense open set.  Its random candidates are built by shape, the torus part
-as one diagonal.
+``split_over_big_cell`` writes g = h * h' with h' upper unitriangular and
+h^-1 in U- T U, over every field: a fixed row-operation construction, proved
+in its docstring, with no search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
-from .fields import Field
-from .matrix import SLMatrix, _lowest_terms, is_upper_triangular, mat_product
-from .rootdata import elementary, weyl_representative
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """A randomized open-condition search ran out of attempts."""
-
-    def __init__(self, what: str, attempts: int):
-        super().__init__(f"{what}: no hit in {attempts} attempts (raise the budget or reseed)")
-        self.attempts = attempts
+from .matrix import (
+    SLMatrix,
+    _det_int,
+    _identity_entries,
+    _lowest_terms,
+    is_upper_triangular,
+    mat_product,
+)
+from .rootdata import weyl_representative
 
 
 @dataclass(frozen=True)
@@ -166,41 +162,39 @@ def bruhat_decompose(g: SLMatrix) -> BruhatForm:
     return BruhatForm(u=SLMatrix(field, u), w=w, w_rep=w_rep, b=b)
 
 
-def _random_big_cell_element(field: Field, n: int, rng: Random, bound: int) -> SLMatrix:
-    """A random element of U- T U, built by shape so membership is free."""
-    one, zero = field.one, field.zero
-    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    upper = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            lower[i][j] = field.random_scalar(rng, bound)
-            upper[j][i] = field.random_scalar(rng, bound)
-    # the coroot product c_1(a_1) ... c_{n-1}(a_{n-1}) = diag(a_1, a_2/a_1, ..., 1/a_{n-1})
-    a = [one] + [field.random_nonzero(rng, bound) for _ in range(n - 1)] + [one]
-    t = SLMatrix.diagonal(field, [a[k + 1] / a[k] for k in range(n)])
-    return mat_product([SLMatrix(field, lower), t, SLMatrix(field, upper)])
+def split_over_big_cell(g: SLMatrix) -> tuple[SLMatrix, SLMatrix]:
+    """Write g = h * h' with h' upper unitriangular (so in U- T U) and h^-1
+    in the big cell U- T U, over every field.
 
+    A row-operation form of the unitriangular factorizations of Vavilov,
+    Smolensky and Sury (Unitriangular factorizations of Chevalley groups,
+    2011).  With a = g^-1, the rows of h^-1 = h' a are built top down: row
+    k < n is a_k if the k-th leading minor is then nonzero, else a_k + a_j
+    for the first j > k that makes it nonzero; row n is a_n, and the n-th
+    minor is det g^-1 = 1.  So h' is I plus a 1 at each such (k, j).
 
-def split_over_big_cell(g: SLMatrix, rng: Random, budget: int = 10_000) -> tuple[SLMatrix, SLMatrix]:
-    """Write g = h * h' with h' and h^-1 both in the big cell U- T U.
+    A j always exists.  Let H be the span of the first k - 1 rows cut to k
+    columns; it has dimension k - 1 by the previous step.  Those rows and
+    a_k, ..., a_n come from a by unitriangular row operations, so their cuts
+    span k-space, and some a_j with j >= k lies outside H.  If a_k lies in
+    H, then a_k + a_j lies outside it.
 
-    Candidates for h' are drawn from U- T U with entries of slowly growing
-    height, interleaved with the deterministic family h' = E_12(m); the
-    identity is tried first, which succeeds whenever g^-1 is already in the
-    big cell.  Each success is verified exactly before returning.
+    The minors are ``_det_int`` on the flat ints: the numerators of g^-1
+    over Q (scaled by den^k != 0) and the residues over F_p, reduced.
     """
-    field, n = g.field, g.n
-    g_inv = g.inverse()
-    for attempt in range(budget):
-        if attempt == 0:
-            hp = SLMatrix.identity(field, n)
-        elif attempt % 8 == 1:
-            hp = elementary(field, n, 1, 2, (attempt // 8) + 1)
-        else:
-            hp = _random_big_cell_element(field, n, rng, 2 + attempt // 500)
-        h_inv = hp * g_inv
-        if in_big_cell(h_inv):
-            h = h_inv.inverse()
-            assert in_big_cell(hp) and h * hp == g
-            return h, hp
-    raise SearchBudgetExceeded("splitting over the big cell", budget)
+    field, n, p = g.field, g.n, g.field.p
+    a = g.inverse().entries
+    rows = [a[i : i + n] for i in range(0, n * n, n)]
+    hp = list(_identity_entries(n))
+    done = []  # the rows of h' a chosen so far
+    for k in range(n - 1):
+        for j in range(k, n):
+            row = rows[k] if j == k else [x + y for x, y in zip(rows[k], rows[j])]
+            minor = _det_int(tuple([x for r in done + [row] for x in r[: k + 1]]), k + 1)
+            if minor % p if p is not None else minor:
+                break
+        if j != k:
+            hp[k * n + j] = 1
+        done.append(row)
+    hp = SLMatrix._wrap(field, n, tuple(hp), 1)
+    return g * hp.inverse(), hp

@@ -21,14 +21,14 @@ import os
 import sys
 from random import Random
 
-from .bruhat import SearchBudgetExceeded, big_cell_decompose, bruhat_decompose
+from .bruhat import big_cell_decompose, bruhat_decompose
 from .certificate import (
     CertificateMismatch,
     certificate_from_json,
     certificate_to_json,
     evaluate_certificate,
 )
-from .decompose import GeneratingSet, decompose_full, decompose_via_sourour
+from .decompose import GeneratingSet, SearchBudgetExceeded, decompose_full, decompose_via_sourour
 from .fields import Field, GF, QQ
 from .matrix import matrix_from_json, matrix_to_json
 from .oracle import (

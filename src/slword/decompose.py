@@ -24,12 +24,15 @@ The pipeline, bottom to top:
 - ``decompose_via_unipotents`` and ``decompose_as_conjugates_of``: the
   paper's route, kept as the tests' reference.  Any g is
   a product of exactly seven conjugates of upper unitriangular matrices:
-  split g = h * h' with h^-1 and h' in the big cell, factor both, and regroup
-  as g = u_1^-1 * lo * t * u_2 (lo in U-, t diagonal); lo is n_0-conjugated
-  into U, and t's 4(n-1) root-group factors are grouped into two lower and
-  two upper blocks.  Each unipotent block is two conjugates of t, so at most
-  14 letters over {t}; identity blocks are skipped and an upper unitriangular
-  target short-circuits to 2.
+  split g = h * h' with h' upper unitriangular and h^-1 in the big cell, by
+  the fixed row operations of ``bruhat.split_over_big_cell``, factor h^-1,
+  and regroup as g = u_1^-1 * lo * t * h' (lo in U-, t diagonal); lo is
+  n_0-conjugated into U, and t's 4(n-1) root-group factors are grouped into
+  two lower and two upper blocks.  Each unipotent block is two conjugates of
+  t, so at most 14 letters over {t}; identity blocks are skipped and an upper
+  unitriangular target short-circuits to 2.  The route draws nothing at
+  random; ``decompose_via_unipotents`` checks its blocks once and
+  ``decompose_as_conjugates_of`` its certificate once.
 
 - ``find_regular_in_ball``: given a normal generating set X, sample products
   of r commutator pairs (2r letters each, so certified ball elements) until
@@ -62,9 +65,10 @@ from math import gcd
 from operator import mul
 from random import Random
 
-from .bruhat import SearchBudgetExceeded, big_cell_decompose, split_over_big_cell
+from .bruhat import big_cell_decompose, split_over_big_cell
 from .certificate import (
     Certificate,
+    CertificateMismatch,
     Letter,
     conjugate_certificate,
     require_valid,
@@ -85,6 +89,14 @@ from .unipotent import _conjugate_in_borel, _require_regular_borel, unipotent_as
 # consecutive open-cell misses after which the ball search gives up
 # radius 1 for radius n - 1
 MISSES_AT_RADIUS_1 = 64
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """A randomized open-condition search ran out of attempts."""
+
+    def __init__(self, what: str, attempts: int):
+        super().__init__(f"{what}: no hit in {attempts} attempts (raise the budget or reseed)")
+        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -174,57 +186,52 @@ def random_sl_bounded(field: Field, n: int, rng: Random, bound: int = 10, tries:
     raise SearchBudgetExceeded("sampling a height-bounded element", tries)
 
 
-def decompose_via_unipotents(
-    g: SLMatrix, rng: Random, budget: int = 10_000
-) -> list[tuple[SLMatrix, SLMatrix]]:
-    """Exactly seven pairs (c, u) with u upper unitriangular and
-    g = prod of c * u * c^-1 in order."""
+def _seven_blocks(g: SLMatrix) -> list[tuple[SLMatrix, SLMatrix]]:
+    """The seven pairs (c, u) of ``decompose_via_unipotents``, unchecked."""
     field, n = g.field, g.n
     ident = SLMatrix.identity(field, n)
     if g.is_identity():
         return [(ident, ident)] * 7
 
-    h, hp = split_over_big_cell(g, rng, budget)
-    f1 = big_cell_decompose(h.inverse())
-    f2 = big_cell_decompose(hp)
-    # g = u1^-1 * (t1^-1 (lo1^-1 lo2) t1) * (t1^-1 t2) * u2
-    u1i = f1.upper.inverse()
-    t1i = f1.diag.inverse()
-    lo = mat_product([t1i, f1.lower.inverse(), f2.lower, f1.diag])
-    t = t1i * f2.diag
-    u2 = f2.upper
+    h, u2 = split_over_big_cell(g)
+    f = big_cell_decompose(h.inverse())
+    # h^-1 = lo1 t1 u1, so g = u1^-1 * (t1^-1 lo1^-1 t1) * t1^-1 * u2
+    u1i = f.upper.inverse()
+    t = f.diag.inverse()
+    lo = mat_product([t, f.lower.inverse(), f.diag])
 
-    n0 = longest_element_rep(field, n)
-    n0i = n0.inverse()
-
-    def into_upper(lower_mat: SLMatrix) -> tuple[SLMatrix, SLMatrix]:
-        u = mat_product([n0i, lower_mat, n0])
-        assert is_upper_unitriangular(u)
-        return (n0, u)
-
+    # t's root factors in four blocks of n - 1: lower, upper, lower, upper;
+    # n_0 moves the lower ones, and lo, into U
     roots = torus_factor(t)
     r = n - 1
-    x_blk = mat_product(roots[:r])          # lower
-    u_blk = mat_product(roots[r : 2 * r])   # upper
-    v_blk = mat_product(roots[2 * r : 3 * r])  # lower
-    w_blk = mat_product(roots[3 * r :])     # upper
-
-    blocks = [
+    n0 = longest_element_rep(field, n)
+    n0i = n0.inverse()
+    return [
         (ident, u1i),
-        into_upper(lo),
-        into_upper(x_blk),
-        (ident, u_blk),
-        into_upper(v_blk),
-        (ident, w_blk),
+        (n0, mat_product([n0i, lo, n0])),
+        (n0, mat_product([n0i, *roots[:r], n0])),
+        (ident, mat_product(roots[r : 2 * r])),
+        (n0, mat_product([n0i, *roots[2 * r : 3 * r], n0])),
+        (ident, mat_product(roots[3 * r :])),
         (ident, u2),
     ]
-    for _, u in blocks:
-        assert is_upper_unitriangular(u)
-    assert mat_product([mat_product([c, u, c.inverse()]) for c, u in blocks]) == g
+
+
+def decompose_via_unipotents(
+    g: SLMatrix, rng: Random | None = None, budget: int | None = None
+) -> list[tuple[SLMatrix, SLMatrix]]:
+    """Exactly seven pairs (c, u) with u upper unitriangular and
+    g = prod of c * u * c^-1 in order, checked once by explicit code that
+    also runs under ``python -O``.  ``rng`` and ``budget`` are ignored."""
+    blocks = _seven_blocks(g)
+    if not all(is_upper_unitriangular(u) for _, u in blocks):
+        raise CertificateMismatch("a seven-block factor is not upper unitriangular")
+    if mat_product([mat_product([c, u, c.inverse()]) for c, u in blocks]) != g:
+        raise CertificateMismatch("the seven blocks do not multiply to the target")
     return blocks
 
 
-def _seven_block_certificate(g: SLMatrix, t: SLMatrix, rng: Random, budget: int) -> Certificate:
+def _seven_block_certificate(g: SLMatrix, t: SLMatrix) -> Certificate:
     """The paper's route over {t}, unchecked: at most 14 letters."""
     if g.is_identity():
         word: tuple[Letter, ...] = ()
@@ -232,7 +239,7 @@ def _seven_block_certificate(g: SLMatrix, t: SLMatrix, rng: Random, budget: int)
         word = unipotent_as_two_conjugates(t, g).word
     else:
         letters = []
-        for c, u in decompose_via_unipotents(g, rng, budget):
+        for c, u in _seven_blocks(g):
             if u.is_identity():
                 continue
             for l in unipotent_as_two_conjugates(t, u).word:
@@ -248,12 +255,13 @@ def _check_base(g: SLMatrix, t: SLMatrix) -> None:
 
 
 def decompose_as_conjugates_of(
-    g: SLMatrix, t: SLMatrix, rng: Random, budget: int = 10_000
+    g: SLMatrix, t: SLMatrix, rng: Random | None = None, budget: int | None = None
 ) -> Certificate:
     """Certificate of length at most 14 for g over the single base element t
-    (upper triangular, pairwise distinct diagonal), by the seven-block route."""
+    (upper triangular, pairwise distinct diagonal), by the seven-block route,
+    checked once by ``require_valid``.  ``rng`` and ``budget`` are ignored."""
     _check_base(g, t)
-    return require_valid(_seven_block_certificate(g, t, rng, budget))
+    return require_valid(_seven_block_certificate(g, t))
 
 
 # -- Sourour's construction, on scalar rows (Fraction or Fp); with

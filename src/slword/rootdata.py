@@ -1,4 +1,4 @@
-"""Root groups, coroots and Weyl representatives for SL_n in its standard
+"""Root groups and Weyl representatives for SL_n in its standard
 split form (diagonal torus T, upper triangular Borel B, upper/lower
 unitriangular U and U-).
 
@@ -37,19 +37,6 @@ def elementary(field: Field, n: int, i: int, j: int, x) -> SLMatrix:
     rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
     rows[i - 1][j - 1] = field.scalar(x)
     return SLMatrix(field, rows)
-
-
-def coroot(field: Field, n: int, i: int, a) -> SLMatrix:
-    """diag(1, .., a, a^-1, .., 1) with a at position i, 1 <= i <= n-1."""
-    if not (1 <= i <= n - 1):
-        raise ValueError(f"coroot index {i} out of range for n={n}")
-    av = field.scalar(a)
-    if not av:
-        raise ValueError("coroot parameter must be nonzero")
-    entries = [field.one] * n
-    entries[i - 1] = av
-    entries[i] = 1 / av
-    return SLMatrix.diagonal(field, entries)
 
 
 def longest_perm(n: int) -> tuple[int, ...]:

@@ -27,12 +27,11 @@ representatives along the lexicographically smallest reduced word, which
 ``test_rootdata.py`` checks the closed form of ``weyl_representative``
 against.
 
-``conjugate`` and ``commutator`` are the group words the tests use.
+``conjugate`` and ``commutator`` are the group words the tests use, and
+``coroot`` is the coroot c_i(a) = diag(1, .., a, a^-1, .., 1).
 ``torus_factor_by_conjugation`` is ``torus_factor`` as it conjugated two of
-its slots by a coroot product, and ``random_big_cell_element_by_coroots`` is
-the splitting's random big-cell element with its torus part multiplied out of
-coroots; ``test_torus.py`` and ``test_bruhat.py`` check the closed forms
-against them.
+its slots by a coroot product; ``test_torus.py`` checks the closed form
+against it.
 """
 
 from itertools import combinations, product
@@ -42,7 +41,7 @@ from slword.decompose import _sourour_basis
 from slword.fields import Field
 from slword.matrix import SLMatrix, _mul_mod, mat_product
 from slword.oracle import DeltaReport, GroupTable, SubsetResult, _letters
-from slword.rootdata import coroot, elementary, longest_element_rep
+from slword.rootdata import elementary, longest_element_rep
 from slword.torus import coroot_coordinates
 
 
@@ -175,6 +174,19 @@ def conjugate(g, c):
     return mat_product([c, g, c.inverse()])
 
 
+def coroot(field: Field, n: int, i: int, a) -> SLMatrix:
+    """diag(1, .., a, a^-1, .., 1) with a at position i, 1 <= i <= n-1."""
+    if not (1 <= i <= n - 1):
+        raise ValueError(f"coroot index {i} out of range for n={n}")
+    av = field.scalar(a)
+    if not av:
+        raise ValueError("coroot parameter must be nonzero")
+    entries = [field.one] * n
+    entries[i - 1] = av
+    entries[i] = 1 / av
+    return SLMatrix.diagonal(field, entries)
+
+
 def torus_factor_by_conjugation(t):
     """``torus_factor`` with x_i and u_i conjugated by the coroot product
     s_i = c_1(a_1) ... c_{i-1}(a_{i-1}) rather than rescaled."""
@@ -199,22 +211,6 @@ def torus_factor_by_conjugation(t):
         ws.append(w_slot)
         s = s * coroot(field, n, i, a)
     return xs[::-1] + us[::-1] + vs + ws
-
-
-def random_big_cell_element_by_coroots(field: Field, n, rng, bound):
-    """``bruhat._random_big_cell_element`` with its torus part built as the
-    product of n - 1 coroots, from the same draws in the same order."""
-    one, zero = field.one, field.zero
-    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    upper = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            lower[i][j] = field.random_scalar(rng, bound)
-            upper[j][i] = field.random_scalar(rng, bound)
-    t = SLMatrix.identity(field, n)
-    for i in range(1, n):
-        t = t * coroot(field, n, i, field.random_nonzero(rng, bound))
-    return mat_product([SLMatrix(field, lower), t, SLMatrix(field, upper)])
 
 
 def central_class_indices(table: GroupTable):

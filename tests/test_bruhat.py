@@ -1,5 +1,5 @@
 from fractions import Fraction
-from random import Random
+from itertools import permutations
 
 import pytest
 
@@ -7,21 +7,22 @@ from slword import (
     GF,
     QQ,
     SLMatrix,
-    SearchBudgetExceeded,
     big_cell_decompose,
     bruhat_decompose,
     brute_force_elements,
     elementary,
+    is_upper_unitriangular,
     leading_principal_minors,
     longest_element_rep,
     mat_product,
     random_sl,
     split_over_big_cell,
+    weyl_representative,
 )
-from slword.bruhat import _random_big_cell_element, in_big_cell
+from slword.bruhat import in_big_cell
 from slword.rootdata import longest_perm
 
-from reference_kernel import inverse_perm, random_big_cell_element_by_coroots
+from reference_kernel import inverse_perm
 
 
 def matrices_of_sl2(p):
@@ -142,53 +143,35 @@ def test_bruhat_u_is_canonical_coset_representative(rng):
                         assert not f.u.rows[i][j]
 
 
-def test_split_identity():
-    rng = Random(1)
-    g = SLMatrix.identity(QQ, 2)
-    h, hp = split_over_big_cell(g, rng)
+def assert_split(g):
+    h, hp = split_over_big_cell(g)
+    assert is_upper_unitriangular(hp)
     assert h * hp == g
-    assert in_big_cell(hp) and in_big_cell(h.inverse())
+    assert in_big_cell(h.inverse())
+
+
+def test_split_identity():
+    g = SLMatrix.identity(QQ, 2)
+    assert_split(g)
+    assert split_over_big_cell(g) == (g, g)
 
 
 def test_split_longest_element():
-    rng = Random(2)
-    n0 = longest_element_rep(QQ, 2)
-    h, hp = split_over_big_cell(n0, rng)
-    assert h * hp == n0
-    assert in_big_cell(hp) and in_big_cell(h.inverse())
+    assert_split(longest_element_rep(QQ, 2))
 
 
 def test_split_random_sl3(rng):
     for _ in range(10):
-        g = random_sl(QQ, 3, rng)
-        h, hp = split_over_big_cell(g, rng)
-        assert h * hp == g
-        assert in_big_cell(hp) and in_big_cell(h.inverse())
+        assert_split(random_sl(QQ, 3, rng))
 
 
 def test_split_small_field():
-    rng = Random(3)
-    for e in sorted(brute_force_elements(2, 3)):
-        g = SLMatrix(GF(3), [[e[0], e[1]], [e[2], e[3]]])
-        h, hp = split_over_big_cell(g, rng)
-        assert h * hp == g
-
-
-def test_split_budget_exhaustion_reports_attempts():
-    rng = Random(4)
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        split_over_big_cell(longest_element_rep(QQ, 2), rng, budget=0)
-    assert exc.value.attempts == 0
-
-
-@pytest.mark.parametrize("p", [None, 7, 101])
-def test_random_big_cell_element_is_the_coroot_product(p):
-    # one diagonal from the n - 1 draws, against n - 1 coroot products
-    field = QQ if p is None else GF(p)
-    for n in range(2, 7):
-        for seed in range(10):
-            rng, ref_rng = Random(seed), Random(seed)
-            bound = 2 + seed
-            g = _random_big_cell_element(field, n, rng, bound)
-            assert g == random_big_cell_element_by_coroots(field, n, ref_rng, bound)
-            assert rng.getstate() == ref_rng.getstate()
+    # every element of five small groups, and every Weyl representative,
+    # the matrices furthest from the big cell
+    for n, p in [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]:
+        for e in sorted(brute_force_elements(n, p)):
+            assert_split(SLMatrix(GF(p), [e[i : i + n] for i in range(0, n * n, n)]))
+    for field in (QQ, GF(7)):
+        for n in range(2, 6):
+            for w in permutations(range(n)):
+                assert_split(weyl_representative(field, w))

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -37,7 +39,7 @@ from slword import (
     smallest_radius,
     verify_certificate,
 )
-from slword import bruhat
+from slword import bruhat, certificate
 from slword.rootdata import longest_perm
 
 from reference_kernel import is_scalar_rows, level_choices_by_brute_force, rank_rows, schur_in_basis
@@ -230,6 +232,48 @@ def test_fourteen_certificate_rejects_degenerate_base(rng):
     t = SLMatrix.diagonal(QQ, [-1, -1])
     with pytest.raises(ValueError):
         decompose_as_conjugates_of(SLMatrix.identity(QQ, 2), t, rng)
+
+
+def test_seven_blocks_refuse_a_wrong_split_under_python_O(subprocess_env):
+    # the check on the seven blocks is explicit code, not an assert, so -O
+    # keeps it: a split that returns (1, 1) for g != 1 must be refused
+    script = (
+        "from random import Random\n"
+        "from slword import QQ, CertificateMismatch, SLMatrix, decompose, random_sl\n"
+        "g = random_sl(QQ, 3, Random(1))\n"
+        "one = SLMatrix.identity(QQ, 3)\n"
+        "decompose.split_over_big_cell = lambda g, *args: (one, one)\n"
+        "try:\n"
+        "    decompose.decompose_via_unipotents(g, Random(1))\n"
+        "except CertificateMismatch as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                       env=subprocess_env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "refused: the seven blocks do not multiply to the target\n"
+
+
+def test_fourteen_certificate_is_checked_once(rng, monkeypatch):
+    # decompose_as_conjugates_of multiplies its word out once, by
+    # require_valid, and builds the blocks without the checked entry point
+    calls = []
+    real = certificate.verify_certificate
+
+    def counting(cert):
+        calls.append(cert)
+        return real(cert)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checked seven-block entry point was called")
+
+    monkeypatch.setattr(certificate, "verify_certificate", counting)
+    monkeypatch.setattr(decompose, "decompose_via_unipotents", refuse)
+    t = diag_of_primes(QQ, 3)
+    g = random_sl(QQ, 3, rng)
+    cert = decompose_as_conjugates_of(g, t, rng)
+    assert calls == [cert]
+    assert cert.length <= 14
 
 
 def test_find_regular_sl2(rng):

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 from reference_kernel import (
     conjugate,
+    coroot,
     identity_perm,
     is_lower_unitriangular,
     reduced_word,
@@ -15,7 +16,6 @@ from slword import (
     GF,
     QQ,
     SLMatrix,
-    coroot,
     elementary,
     is_diagonal,
     longest_element_rep,

@@ -2,14 +2,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_kernel import torus_factor_by_conjugation
+from reference_kernel import coroot, torus_factor_by_conjugation
 
 from slword import (
     GF,
     QQ,
     Fp,
     SLMatrix,
-    coroot,
     elementary,
     mat_product,
     sl2_coroot_factor,
