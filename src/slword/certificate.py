@@ -6,10 +6,14 @@ letters (c, k, e) with e in {+1, -1}; it asserts
 
     g  =  prod over letters, in order, of  c * x_k^e * c^-1.
 
-``verify_certificate`` re-multiplies everything from scratch and compares
-exactly; it places no trust whatsoever in whoever produced the certificate.
-The word length is then a proven upper bound for the conjugate-word norm of g
-with respect to the base.  ``require_valid`` is the same check as an explicit
+``verify_certificate`` recomputes the word's product and compares it exactly
+with the target.  Each letter is a low-rank update 1 + (c u)(v^T c^-1): u and
+v factor x^e - 1 and come from the base matrix itself, checked against it,
+and v^T c^-1 from one exact solve against c, so no conjugator is inverted.
+Only the certificate's matrices enter, in exact arithmetic, so the check
+places no trust whatsoever in whoever produced the certificate.  The word
+length is then a proven upper bound for the conjugate-word norm of g with
+respect to the base.  ``require_valid`` is the same check as an explicit
 guard that raises, so it also holds under ``python -O``.
 
 JSON layout (bit-exact after canonicalization):
@@ -24,7 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field, replace
 
 from .fields import Field, json_int
-from .matrix import SLMatrix, mat_product, matrix_from_json, matrix_to_json
+from .matrix import (
+    SLMatrix,
+    conjugated_factors,
+    low_rank_product,
+    mat_product,
+    matrix_from_json,
+    matrix_to_json,
+    rank_factors,
+)
 
 
 @dataclass(frozen=True)
@@ -67,20 +79,19 @@ def _check_well_formed(cert: Certificate):
 
 
 def evaluate_certificate(cert: Certificate) -> SLMatrix:
-    """The exact product of the word, independent of the target."""
+    """The exact product of the word, independent of the target; each base
+    element is factored once by ``rank_factors``."""
     _check_well_formed(cert)
-    if not cert.word:
-        return SLMatrix.identity(cert.field, cert.n)
-    inv_base = {}
-    chain = []
-    for l in cert.word:
-        x = cert.base[l.base_index]
-        if l.exponent == -1:
-            if l.base_index not in inv_base:
-                inv_base[l.base_index] = x.inverse()
-            x = inv_base[l.base_index]
-        chain.extend([l.conjugator, x, l.conjugator.inverse()])
-    return mat_product(chain)
+    factors = {}
+
+    def forms():
+        for l in cert.word:
+            k = l.base_index
+            if k not in factors:
+                factors[k] = rank_factors(cert.base[k])
+            yield conjugated_factors(l.conjugator, factors[k][0 if l.exponent == 1 else 1])
+
+    return low_rank_product(cert.field, cert.n, forms())
 
 
 def verify_certificate(cert: Certificate) -> bool:

@@ -42,9 +42,12 @@ The pipeline, bottom to top:
   length at most 4r, retried until its diagonal is pairwise distinct.  The
   radius is 1 when the rank bound of ``smallest_radius`` lets a ball of
   radius 1 reach the open cell, and n - 1 otherwise or after a fixed run of
-  misses at radius 1.  The search runs on the flat int kernel end to end and
-  builds no per-entry scalar; Sourour's basis and the solve in the Borel
-  below still work on scalar rows.
+  misses at radius 1.  Each sample's letters h x^e h^-1 are low-rank updates
+  1 + (h u)(v^T h^-1), from x^e - 1 = u v^T factored once per generating set
+  and h^-1 drawn with h: O(n^2 rho) per letter, not two full products.
+  The search runs on the flat int kernel end to end and builds no per-entry
+  scalar; Sourour's basis and the solve in the Borel below still work on
+  scalar rows.
 
 - ``decompose_full``: t from the ball, g over t by ``decompose_via_sourour``,
   every t^{+-1} letter expanded through t's own certificate: at most
@@ -61,7 +64,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
 from itertools import combinations
-from math import gcd
 from operator import mul
 from random import Random
 
@@ -78,9 +80,12 @@ from .fields import Field
 from .matrix import (
     SLMatrix,
     _repeated_diagonal,
+    conjugated_factors,
     is_central,
     is_upper_unitriangular,
+    low_rank_product,
     mat_product,
+    rank_factors,
 )
 from .rootdata import elementary, longest_element_rep
 from .torus import torus_factor
@@ -111,8 +116,10 @@ class GeneratingSet:
     field: Field
     n: int
     elements: tuple[SLMatrix, ...]
-    # computed once here: the samplers read it on every draw
+    # computed once here: the samplers read them on every draw
     noncentral_indices: tuple[int, ...] = dataclass_field(init=False, repr=False, compare=False)
+    # noncentral index -> the ``rank_factors`` of x - 1 and x^-1 - 1
+    factors: dict = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -124,6 +131,7 @@ class GeneratingSet:
         if not noncentral:
             raise ValueError("every element is central; the set cannot normally generate SL_n")
         object.__setattr__(self, "noncentral_indices", noncentral)
+        object.__setattr__(self, "factors", {i: rank_factors(self.elements[i]) for i in noncentral})
 
     @classmethod
     def of(cls, elements) -> "GeneratingSet":
@@ -442,53 +450,26 @@ def decompose_via_sourour(g: SLMatrix, t: SLMatrix) -> Certificate:
 # -- the regular element t from a ball of X
 
 
-def _sample_ball_element(X: GeneratingSet, inverses: tuple, rng: Random, radius: int) -> Certificate:
+def _sample_ball_element(X: GeneratingSet, rng: Random, radius: int) -> Certificate:
     """A random certified element of the 2r-ball: a product of r commutator
     blocks (h x h^-1)(k x^-1 k^-1) with x drawn from the noncentral part of X;
-    ``inverses`` holds the inverses of X's elements."""
+    each letter is a low-rank update from ``X.factors`` and h^-1."""
     field, n = X.field, X.n
     letters = []
-    chain = []
+    forms = []
     for _ in range(radius):
         idx = rng.choice(X.noncentral_indices)
         h, h_inv = _random_sl_and_inverse(field, n, rng)
         k, k_inv = _random_sl_and_inverse(field, n, rng)
         letters.append(Letter(h, idx, +1))
         letters.append(Letter(k, idx, -1))
-        chain.extend([h, X.elements[idx], h_inv, k, inverses[idx], k_inv])
+        plus, minus = X.factors[idx]
+        forms.append(conjugated_factors(h, plus, h_inv))
+        forms.append(conjugated_factors(k, minus, k_inv))
     return Certificate(
-        field=field, n=n, target=mat_product(chain), base=X.elements, word=tuple(letters)
+        field=field, n=n, target=low_rank_product(field, n, forms), base=X.elements,
+        word=tuple(letters),
     )
-
-
-def _rank(entries: list, n: int, p: int | None) -> int:
-    """Rank of the n-by-n int matrix ``entries`` over F_p, or over Q when p
-    is None, by elimination that only scales rows by nonzero ints: residues
-    stay reduced mod p, as the rank mod p is not the rank over Z, and
-    integer rows are divided by their content."""
-    m = [entries[i : i + n] for i in range(0, n * n, n)]
-    if p is not None:
-        m = [[x % p for x in row] for row in m]
-    rank = 0
-    for c in range(n):
-        piv = next((r for r in range(rank, n) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        pv = prow[c]
-        for r in range(rank + 1, n):
-            f = m[r][c]
-            if f:
-                row = [pv * a - f * b for a, b in zip(m[r], prow)]
-                if p is not None:
-                    row = [x % p for x in row]
-                else:
-                    g = gcd(*row)
-                    row = [x // g for x in row] if g > 1 else row
-                m[r] = row
-        rank += 1
-    return rank
 
 
 def smallest_radius(X: GeneratingSet) -> int:
@@ -498,17 +479,10 @@ def smallest_radius(X: GeneratingSet) -> int:
     ball has rank(s - 1) <= 2 r rho.  The lower-left floor(n/2) block of the
     identity is zero, so s can only lie in the open cell, which needs that
     block of s invertible, when 2 r rho >= floor(n/2).  Never above n - 1.
+    rho is the column count of the factors of x - 1 in ``X.factors``.
     """
     n = X.n
-
-    def rank_minus_one(x: SLMatrix) -> int:
-        # x - 1 on the flat entries: entries - den * I
-        es = list(x.entries)
-        for i in range(0, n * n, n + 1):
-            es[i] -= x.den
-        return _rank(es, n, X.field.p)
-
-    rho = max(rank_minus_one(X.elements[k]) for k in X.noncentral_indices)
+    rho = max(len(u) for (u, _, _), _ in X.factors.values())
     return min(n - 1, max(1, -(-(n // 2) // (2 * rho))))
 
 
@@ -525,8 +499,10 @@ def find_regular_in_ball(
 
     Everything here runs on the flat ints and builds no ``Fraction`` or
     ``Fp`` per entry: the conjugators and their inverses come from
-    elementary operations, X is inverted once per call, n_0 is the signed
-    anti-diagonal and the open-cell test is the flat LDU.
+    elementary operations, the rank factors of X's elements and of their
+    inverses are taken once with X, each sample is a low-rank update per
+    letter, n_0 is the signed anti-diagonal and the open-cell test is the
+    flat LDU.
 
     The radius r is 1 when ``smallest_radius(X)`` is 1, and n - 1, the
     paper's radius, otherwise: the rank bound is necessary, not sufficient;
@@ -551,12 +527,11 @@ def find_regular_in_ball(
     r = first = 1 if smallest_radius(X) == 1 else n - 1
     n0 = longest_element_rep(field, n)
     n0i = n0.inverse()
-    inverses = tuple(x.inverse() for x in X.elements)
     attempts = misses = run = rejected = 0
     left = None  # an open-cell sample of the form x * n_0, awaiting its partner
     while attempts < budget:
         attempts += 1
-        cert = _sample_ball_element(X, inverses, rng, r)
+        cert = _sample_ball_element(X, rng, r)
         cell = big_cell_decompose(n0i * cert.target)
         if cell is None:
             misses += 1

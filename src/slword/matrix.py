@@ -20,11 +20,17 @@ Both forms are canonical, so two matrices are equal exactly when their
 (field, n, entries, den) are, and zero and equality tests on entries are int
 tests.  No per-entry scalar objects are built: products accumulate row times
 column sums (reduced mod p, or over the product of the denominators).  The
-determinant and the inverse each have one elimination for both fields, on
-integers: fraction-free (Bareiss) elimination on the numerators over Q and on
-the residues over F_p, whose integer result is then reduced mod p.
-``mat_product`` carries a whole chain through these kernels and builds one
-matrix at the end.  The F_p kernels are shared with :mod:`slword.oracle`.
+determinant and the solve a^-1 b each have one elimination for both fields,
+on integers: fraction-free (Bareiss) elimination on the numerators over Q and
+on the residues over F_p, whose integer result is then reduced mod p; the
+inverse is the solve against I.  ``mat_product`` carries a whole chain
+through these kernels and builds one matrix at the end.  The F_p kernels are
+shared with :mod:`slword.oracle`.
+
+A product of conjugates c x^e c^-1 is formed as low-rank updates instead:
+``rank_factors`` writes x^e - 1 = u v^T / d with rho = rank(x - 1) columns,
+checked against x - 1, and each letter is 1 + (c u)(v^T c^-1) / d,
+multiplied in at O(n^2 rho).
 
 Code that needs field scalars (``Fraction`` or :class:`~slword.fields.Fp`)
 reads them through :attr:`SLMatrix.rows`, which builds them on each access.
@@ -37,6 +43,7 @@ straight to the flat ints (``Field.parse_ints``).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -181,12 +188,25 @@ def _lowest_terms(pairs: list) -> tuple[tuple, int]:
 
 
 def _identity_entries(n: int) -> tuple:
-    return tuple(int(i == j) for i in range(n) for j in range(n))
+    es = [0] * (n * n)
+    es[:: n + 1] = [1] * n
+    return tuple(es)
+
+
+def _rows(es: Sequence, n: int) -> list:
+    """The flat row-major ``es`` cut into rows of length n."""
+    return [es[i : i + n] for i in range(0, len(es), n)]
 
 
 def _mul_int(a: tuple, b: tuple, n: int) -> tuple:
-    cols = list(zip(*[b[i : i + n] for i in range(0, n * n, n)]))
-    return tuple([sum(map(mul, a[i : i + n], col)) for i in range(0, n * n, n) for col in cols])
+    return tuple(_mul_rect(_rows(a, n), list(zip(*_rows(b, n)))))
+
+
+def _mul_rect(rows: list, cols: list) -> list:
+    """The flat row-major product of the matrix with ``rows`` and the
+    matrix with ``cols``; ``_rows(_mul_rect(cols, rows), n)`` is M * col
+    for each column, M the matrix with the n ``rows``."""
+    return [sum(map(mul, row, col)) for row in rows for col in cols]
 
 
 def _mul_mod(a: tuple, b: tuple, n: int, p: int) -> tuple:
@@ -254,33 +274,40 @@ def _det_int(a: tuple, n: int) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _inverse_int(a: tuple, n: int) -> tuple[list, int]:
-    """(d*a^-1 as flat ints, d) for an invertible integer matrix a.
+def _solve_int(a: Sequence, b: Sequence, n: int, k: int) -> tuple[list, int]:
+    """(d*a^-1 b as flat n-by-k ints, d) for an invertible n-by-n integer
+    matrix a and an n-by-k integer matrix b, both flat and row-major.
 
-    Fraction-free Gauss-Jordan on [a | I] ends with [d*I | d*a^-1] for one
-    integer pivot d = +-det a, every division along the way exact.
+    Fraction-free Gauss-Jordan on [a | b] ends with [d*I | d*a^-1 b] for one
+    integer pivot d = +-det a, every division along the way exact; each row
+    drops a column once it is eliminated.
     """
-    m = [list(a[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+    m = [list(a[i * n : (i + 1) * n]) + list(b[i * k : (i + 1) * k]) for i in range(n)]
     prev = 1
     for c in range(n):
-        piv = next(r for r in range(c, n) if m[r][c])
+        piv = next(r for r in range(c, n) if m[r][0])
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
         prow = m[c]
-        pv = prow[c]
+        pv = prow[0]
+        rest = prow[1:]
         for r in range(n):
             if r != c:
                 row = m[r]
-                f = row[c]
-                m[r] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+                f = row[0]
+                if f:
+                    m[r] = [(pv * x - f * y) // prev for x, y in zip(row[1:], rest)]
+                else:
+                    m[r] = [pv * x // prev for x in row[1:]]
+        m[c] = rest
         prev = pv
-    return [x for row in m for x in row[n:]], prev
+    return [x for row in m for x in row], prev
 
 
 def _inverse_q(a: tuple, den: int, n: int) -> tuple[tuple, int]:
     """(entries, den) of the inverse of a / den over Q:
     (a / den)^-1 = den * (d*a^-1) / d, reduced to lowest terms."""
-    entries, d = _inverse_int(a, n)
+    entries, d = _solve_int(a, _identity_entries(n), n, n)
     if d < 0:
         den, d = -den, -d
     entries = [x * den for x in entries]
@@ -291,7 +318,7 @@ def _inverse_q(a: tuple, den: int, n: int) -> tuple[tuple, int]:
 def _inverse_mod(a: tuple, n: int, p: int) -> tuple:
     """Inverse over F_p of the residues a, invertible mod p: the integer
     inverse, reduced.  d = +-det a is nonzero mod p, so a unit."""
-    entries, d = _inverse_int(a, n)
+    entries, d = _solve_int(a, _identity_entries(n), n, n)
     f = pow(d, -1, p)
     return tuple([x * f % p for x in entries])
 
@@ -318,6 +345,147 @@ def mat_product(mats: Iterable[SLMatrix]) -> SLMatrix:
     for m in mats[1:]:
         first._check_compatible(m)
         acc, den = _product(p, n, acc, den, m.entries, m.den)
+    return SLMatrix._wrap(field, n, acc, den)
+
+
+# low-rank letters; u, v, a and b are lists of rho columns of n ints
+
+
+def _rank_factor(m: Sequence, n: int, p: int | None) -> tuple[list, list, int]:
+    """(u, v, l) with the n-by-n int matrix m = u v^T / l over Q (p None), or
+    m = u v^T mod p with l = 1; u and v have rho = rank m columns.
+
+    Gauss-Jordan that scales rows only by nonzero ints (residues stay reduced
+    mod p, as the rank mod p is not the rank over Z; integer rows are divided
+    by their content) ends with rows R_k, pivot r_k in column j_k and 0 in
+    the other pivot columns.  Row i of m is then sum_k (m_{i j_k} / r_k) R_k:
+    u_k is column j_k of m and v_k = R_k l / r_k, l = lcm(r_k).
+    """
+    rows = [list(row) if p is None else [x % p for x in row] for row in _rows(m, n)]
+    cols = list(zip(*rows))
+    pivots = []  # the j_k; rows[:rho] end up as the R_k
+    for c in range(n):
+        k = len(pivots)
+        piv = next((i for i in range(k, n) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        prow = rows[k]
+        pv = prow[c]
+        if p is not None and pv != 1:
+            f = pow(pv, -1, p)
+            prow = rows[k] = [x * f % p for x in prow]
+            pv = 1
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != k:
+                if p is not None:
+                    rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+                else:
+                    row = [pv * x - f * y for x, y in zip(row, prow)]
+                    g = gcd(*row)
+                    rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    basis = rows[: len(pivots)]
+    l = lcm(*[row[c] for row, c in zip(basis, pivots)])
+    v = [[x * (l // row[c]) for x in row] for row, c in zip(basis, pivots)]
+    return [list(cols[c]) for c in pivots], v, l
+
+
+def _solve_transposed(c: SLMatrix, v: list) -> tuple[list, int]:
+    """(z, det) with c^-T v = den_c z / det for c = C / den_c, from one
+    solve of C^T z = v."""
+    n, rho = c.n, len(v)
+    ct = [y for i in range(n) for y in c.entries[i::n]]
+    z, det = _solve_int(ct, [vk[i] for i in range(n) for vk in v], n, rho)
+    return [z[k::rho] for k in range(rho)], det
+
+
+def _normalized(p: int | None, a: list, b: list, den: int) -> tuple[list, list, int]:
+    """a b^T / den as residues with den = 1 over F_p; over Q with den > 0
+    and a, b divided by their common factors with den."""
+    if p is not None:
+        f = pow(den, -1, p)
+        return [[s % p for s in col] for col in a], [[s * f % p for s in col] for col in b], 1
+    if den < 0:
+        den, b = -den, [[-s for s in col] for col in b]
+    g = gcd(den, *[s for col in a for s in col])
+    if g > 1:
+        a, den = [[s // g for s in col] for col in a], den // g
+    g = gcd(den, *[s for col in b for s in col])
+    if g > 1:
+        b, den = [[s // g for s in col] for col in b], den // g
+    return a, b, den
+
+
+def rank_factors(x: SLMatrix) -> tuple[tuple, tuple]:
+    """(u, v, d) with x - 1 = u v^T / d and (u, v', d') with x^-1 - 1 =
+    u v'^T / d', u and v with rho = rank(x - 1) columns and d > 0.
+
+    The factors of x - 1 are checked against x entry by entry, by explicit
+    code that also runs under ``python -O``; x^-1 - 1 = -(x - 1) x^-1 takes
+    v' = -x^-T v from one solve with rho right-hand sides.
+    """
+    n, p = x.n, x.field.p
+    m = list(x.entries)  # den (x - 1)
+    for i in range(0, n * n, n + 1):
+        m[i] -= x.den
+    u, v, l = _rank_factor(m, n, p)
+    got = [0] * (n * n)
+    for uk, vk in zip(u, v):
+        got = [s + a * b for s, (a, b) in zip(got, product(uk, vk))]
+    want = [l * s for s in m]
+    if p is not None:
+        got, want = [s % p for s in got], [s % p for s in want]
+    if got != want:
+        raise ArithmeticError("the rank factors do not reproduce x - 1")
+    z, det = _solve_transposed(x, v)  # x^-T v = den z / det; den cancels
+    return _normalized(p, u, v, l * x.den), _normalized(p, u, [[-s for s in col] for col in z], l * det)
+
+
+def conjugated_factors(c: SLMatrix, factors: tuple, c_inv: SLMatrix | None = None) -> tuple[list, list, int]:
+    """(a, b, den) with c x^e c^-1 - 1 = a b^T / den for the ``rank_factors``
+    (u, v, d) of x^e - 1: a = c u, and b^T = v^T c^-1 read off ``c_inv`` or,
+    without it, from one solve of c^T z = v with rho right-hand sides."""
+    u, v, d = factors
+    n = c.n
+    a = _rows(_mul_rect(u, _rows(c.entries, n)), n)
+    if c_inv is None:
+        b, det = _solve_transposed(c, v)  # den_c cancels against a's
+        return _normalized(c.field.p, a, b, d * det)
+    ci = c_inv.entries  # the rows of c^-T are the columns of c^-1
+    b = _rows(_mul_rect(v, [ci[j::n] for j in range(n)]), n)
+    return _normalized(c.field.p, a, b, d * c.den * c_inv.den)
+
+
+def low_rank_product(field: Field, n: int, forms: Iterable[tuple]) -> SLMatrix:
+    """The product, left to right, of 1 + a b^T / den over the ``forms`` of
+    ``conjugated_factors``: P becomes P + (P a) b^T / den, O(n^2 rho) per
+    form.  Each form is a conjugate of a determinant-1 matrix, so the
+    product needs no determinant check."""
+    p = field.p
+    acc, den = _identity_entries(n), 1
+    for a, b, d in forms:
+        rows = _rows(acc, n)
+        pa = _rows(_mul_rect(a, rows), n)
+        new = []
+        for i, row in enumerate(rows):
+            if d != 1:
+                row = [x * d for x in row]
+            for pak, bk in zip(pa, b):
+                s = pak[i]
+                if s:
+                    row = [x + s * y for x, y in zip(row, bk)]
+            new.extend(row)
+        if p is not None:
+            acc = tuple([x % p for x in new])
+        elif den * d != 1:
+            den *= d
+            g = gcd(den, *new)
+            acc = tuple([x // g for x in new]) if g > 1 else tuple(new)
+            den //= g
+        else:
+            acc = tuple(new)
     return SLMatrix._wrap(field, n, acc, den)
 
 

@@ -27,6 +27,15 @@ representatives along the lexicographically smallest reduced word, which
 ``test_rootdata.py`` checks the closed form of ``weyl_representative``
 against.
 
+``evaluate_by_products`` is ``evaluate_certificate`` as it multiplied before
+the low-rank letters: each letter c x^e c^-1 as two full products, with the
+inverse of c and of x; ``ball_sample_target_by_products`` is the ball
+sampler's target formed the same way, from the same draws.
+``test_certificate.py`` and ``test_decompose.py`` check the low-rank
+evaluation and sampler against them, on the dense elements with
+rank(x - 1) = rho of ``element_of_rank`` and the conjugators of
+``dense_conjugator``, which have denominators != 1 over Q.
+
 ``conjugate`` and ``commutator`` are the group words the tests use, and
 ``coroot`` is the coroot c_i(a) = diag(1, .., a, a^-1, .., 1).
 ``torus_factor_by_conjugation`` is ``torus_factor`` as it conjugated two of
@@ -34,10 +43,11 @@ its slots by a coroot product; ``test_torus.py`` checks the closed form
 against it.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from slword.bruhat import big_cell_decompose
-from slword.decompose import _sourour_basis
+from slword.decompose import _random_sl_and_inverse, _sourour_basis, random_sl
 from slword.fields import Field
 from slword.matrix import SLMatrix, _mul_mod, mat_product
 from slword.oracle import DeltaReport, GroupTable, SubsetResult, _letters
@@ -162,6 +172,66 @@ def rank_rows(rows):
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def evaluate_by_products(cert):
+    """The word's product, each letter c x^e c^-1 as full products with the
+    inverses of c and, for e = -1, of x."""
+    if not cert.word:
+        return SLMatrix.identity(cert.field, cert.n)
+    chain = []
+    for l in cert.word:
+        x = cert.base[l.base_index]
+        chain.extend([l.conjugator, x if l.exponent == 1 else x.inverse(), l.conjugator.inverse()])
+    return mat_product(chain)
+
+
+def dense_conjugator(field: Field, n, rng):
+    """A random SL_n element; over Q its entries have denominators != 1."""
+    q = Fraction(rng.randint(2, 9), rng.randint(2, 9)) if field.p is None else rng.randrange(2, field.p)
+    d = SLMatrix.diagonal(field, [q, 1 / field.scalar(q)] + [1] * (n - 2))
+    return mat_product([random_sl(field, n, rng), d, random_sl(field, n, rng, factors=2 * n)])
+
+
+def element_of_rank(field: Field, n, rho, rng):
+    """c y c^-1 with rank(y - 1) = rho, 0 <= rho <= n, for a dense c.
+
+    For rho < n, y - 1 is strictly upper triangular and nonzero only in its
+    first rho rows, with (i, i + 1) entries != 0 there, so of rank rho.  For
+    rho = n, y is upper triangular with no diagonal entry 1: (a, a^-1) pairs,
+    led by (a, a, a^-2) for odd n, with a = 2, whose square is not 1 in any
+    field the tests use."""
+    one, zero = field.one, field.zero
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    if rho < n:
+        for i in range(rho):
+            rows[i][i + 1] = field.scalar(rng.randrange(1, 5))
+            for j in range(i + 2, n):
+                rows[i][j] = field.scalar(rng.randrange(0, 5))
+    else:
+        a = field.scalar(2)
+        diag = [a, a, 1 / (a * a)] if n % 2 else []
+        while len(diag) < n:
+            diag += [a, 1 / a]
+        for i in range(n):
+            rows[i][i] = diag[i]
+            for j in range(i + 1, n):
+                rows[i][j] = field.scalar(rng.randrange(0, 5))
+    c = dense_conjugator(field, n, rng)
+    return mat_product([c, SLMatrix(field, rows), c.inverse()])
+
+
+def ball_sample_target_by_products(X, rng, radius):
+    """The target of ``decompose._sample_ball_element`` from the same draws:
+    r blocks (h x h^-1)(k x^-1 k^-1) multiplied out in full."""
+    field, n = X.field, X.n
+    chain = []
+    for _ in range(radius):
+        x = X.elements[rng.choice(X.noncentral_indices)]
+        h, h_inv = _random_sl_and_inverse(field, n, rng)
+        k, k_inv = _random_sl_and_inverse(field, n, rng)
+        chain.extend([h, x, h_inv, k, x.inverse(), k_inv])
+    return mat_product(chain)
 
 
 def commutator(g, h):

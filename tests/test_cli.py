@@ -24,6 +24,7 @@ from slword import (
     find_regular_in_ball,
     matrix_from_json,
     matrix_to_json,
+    random_sl,
     substitute_certificate,
 )
 from slword import cli, oracle
@@ -116,6 +117,48 @@ def test_verify_detects_mutation(tmp_path, target_file, generator_file, capsys):
     rows[0] = [str(Fraction(a) + 99 * Fraction(b)) for a, b in zip(rows[0], rows[1])]
     mutated = write_json(tmp_path / "bad.json", cert)
     code, stdout, stderr = run_cli(["verify", mutated], capsys)
+    assert code == 1
+    assert "recomputed_product" in stdout
+    assert "MISMATCH" in stderr
+
+
+def tamper_rank_two_letter(cert, tamper):
+    """Mutate the first letter over base 0, E_12(1) E_34(1) (rank(x - 1) = 2),
+    or swap a base for another of the same rank."""
+    k = next(i for i, l in enumerate(cert["word"]) if l["base"] == 0)
+    letter = cert["word"][k]
+    if tamper == "conjugator entry":
+        # 99 times row 2 added to row 1: still determinant 1
+        rows = letter["conjugator"]["entries"]
+        rows[0] = [str(Fraction(a) + 99 * Fraction(b)) for a, b in zip(rows[0], rows[1])]
+    elif tamper == "dropped letter":
+        del cert["word"][k]
+    elif tamper == "flipped exponent":
+        letter["exponent"] = -letter["exponent"]
+    else:  # E_12(1) E_34(1) -> E_12(2) E_34(1), or E_12(1) -> E_12(2)
+        cert["base"][0 if tamper == "rank-2 base swapped" else 1]["entries"][0][1] = "2"
+
+
+@pytest.mark.parametrize("field_arg", ["Q", "Fp:101"])
+@pytest.mark.parametrize(
+    "tamper",
+    ["conjugator entry", "dropped letter", "flipped exponent", "rank-2 base swapped", "rank-1 base swapped"],
+)
+def test_verify_detects_tampering_with_a_rank_two_base(tmp_path, capsys, field_arg, tamper):
+    field = QQ if field_arg == "Q" else GF(101)
+    genset = write_json(tmp_path / "x.json", [
+        matrix_to_json(elementary(field, 4, 1, 2, 1) * elementary(field, 4, 3, 4, 1)),
+        matrix_to_json(elementary(field, 4, 1, 2, 1)),
+    ])
+    target = write_json(tmp_path / "g.json", matrix_to_json(random_sl(field, 4, Random(2), factors=8)))
+    out = str(tmp_path / "cert.json")
+    code, _, _ = run_cli(["certify", "--field", field_arg, "--n", "4", "--target", target,
+                          "--genset", genset, "--seed", "8", "--out", out], capsys)
+    assert code == 0 and run_cli(["verify", out], capsys)[0] == 0
+    cert = json.loads(open(out).read())
+    assert {l["base"] for l in cert["word"]} == {0, 1}
+    tamper_rank_two_letter(cert, tamper)
+    code, stdout, stderr = run_cli(["verify", write_json(tmp_path / "bad.json", cert)], capsys)
     assert code == 1
     assert "recomputed_product" in stdout
     assert "MISMATCH" in stderr

@@ -42,7 +42,14 @@ from slword import (
 from slword import bruhat, certificate
 from slword.rootdata import longest_perm
 
-from reference_kernel import is_scalar_rows, level_choices_by_brute_force, rank_rows, schur_in_basis
+from reference_kernel import (
+    ball_sample_target_by_products,
+    element_of_rank,
+    is_scalar_rows,
+    level_choices_by_brute_force,
+    rank_rows,
+    schur_in_basis,
+)
 
 
 def blocks_product(blocks):
@@ -593,6 +600,22 @@ def test_smallest_radius_follows_the_rank_bound():
     assert smallest_radius(GeneratingSet.of([x])) == 1
     # never above n - 1
     assert smallest_radius(GeneratingSet.of([elementary(QQ, 2, 1, 2, 1)])) == 1
+
+
+@pytest.mark.parametrize("p", [None, 7, 101])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_ball_sample_target_matches_full_products(p, n):
+    # the low-rank target of a ball sample equals the chain of full products
+    # for the same draws, over bases of rank 1, n - 1 and n and a central one
+    field = QQ if p is None else GF(p)
+    rng = Random(10 * n + (p or 0))
+    elements = [element_of_rank(field, n, rho, rng) for rho in sorted({1, n - 1, n})]
+    X = GeneratingSet.of(elements + [SLMatrix.identity(field, n)])
+    for radius in (1, 2, 3):
+        for seed in range(4):
+            sample = decompose._sample_ball_element(X, Random(seed), radius)
+            assert sample.target == ball_sample_target_by_products(X, Random(seed), radius)
+            assert sample.length == 2 * radius and verify_certificate(sample)
 
 
 def test_find_regular_jumps_to_n_minus_1_after_misses_at_radius_1(monkeypatch):

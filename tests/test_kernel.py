@@ -1,9 +1,10 @@
 """The flat int kernels against the scalar reference in
-``reference_kernel.py``: products, inverses and determinants of
+``reference_kernel.py``: products, inverses, solves and determinants of
 ``slword.matrix`` on random matrices over Q and F_p for n = 2..6, the F_p
-determinant and inverse at the primes 2, 3 and 10^18 + 3, and the kernels of
-the regular-element search (``random_sl`` and its inverse, n_0, the big-cell
-LDU and the rank in ``smallest_radius``)."""
+determinant and inverse at the primes 2, 3 and 10^18 + 3, the rank
+factorization behind the low-rank letters and ``smallest_radius``, and the
+kernels of the regular-element search (``random_sl`` and its inverse, n_0
+and the big-cell LDU)."""
 
 from fractions import Fraction
 from math import lcm
@@ -29,8 +30,16 @@ from slword import (
     verify_certificate,
     weyl_representative,
 )
-from slword.decompose import _random_sl_and_inverse, _rank
-from slword.matrix import _det_scalar, _inverse_mod, _inverse_q, _product
+from slword.decompose import _random_sl_and_inverse
+from slword.matrix import (
+    _det_scalar,
+    _inverse_mod,
+    _inverse_q,
+    _product,
+    _rank_factor,
+    _solve_int,
+    rank_factors,
+)
 from slword.rootdata import longest_perm
 
 PRIMES = (2, 3, 7, 101)
@@ -199,26 +208,67 @@ def test_big_cell_decompose_matches_the_scalar_ldu(p, n):
     assert seen["non-integral"] or p is not None
 
 
+def ratio(field, a, b):
+    return field.scalar(a) / field.scalar(b)
+
+
+def outer_sum(field, n, u, v, l):
+    """u v^T / l as rows of field scalars."""
+    return tuple(
+        tuple(ratio(field, sum(uk[i] * vk[j] for uk, vk in zip(u, v)), l) for j in range(n))
+        for i in range(n)
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(square())
 def test_rank_matches_reference(m):
+    # the rank factorization of an arbitrary int matrix m = rows * den: rho
+    # columns, rho the scalar rank, and u v^T / l = m
     field, n, rows = m
-    entries, _ = flat(field, rows)
-    assert _rank(list(entries), n, field.p) == rank_rows(rows)
+    entries, den = flat(field, rows)
+    u, v, l = _rank_factor(entries, n, field.p)
+    assert len(u) == len(v) == rank_rows(rows)
+    assert all(len(col) == n for col in u + v)
+    assert outer_sum(field, n, u, v, l * den) == rows
 
 
 @pytest.mark.parametrize("p", [None, 5, 101])
 def test_rank_of_x_minus_one_matches_reference(p):
+    # x^e - 1 = u v^T / d for both exponents, with rank(x - 1) columns; over
+    # Q also for x with a denominator != 1
     field = QQ if p is None else GF(p)
     rng = Random(7)
     for n in range(2, 7):
         for factors in range(1, n + 2):
             x = random_sl(field, n, rng, factors=factors)
-            rows = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(x.rows)]
-            entries = list(x.entries)
-            for i in range(0, n * n, n + 1):
-                entries[i] -= x.den
-            assert _rank(entries, n, p) == rank_rows(rows)
+            if factors % 2:
+                x = mat_product([SLMatrix.diagonal(field, [2, ratio(field, 1, 2)] + [1] * (n - 2)), x])
+            for xe, (u, v, d) in zip((x, x.inverse()), rank_factors(x)):
+                rows = tuple(tuple(e - (i == j) for j, e in enumerate(row)) for i, row in enumerate(xe.rows))
+                assert len(u) == rank_rows(rows) and d > 0
+                assert outer_sum(field, n, u, v, d) == rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(square(), st.data())
+def test_solve_matches_reference(m, data):
+    # z / d = a^-1 b for an integer a and k integer columns b, against the
+    # scalar inverse; against b = I it is the inverse itself
+    field, n, rows = m
+    entries, _ = flat(field, rows)
+    a = [[field.scalar(e) for e in entries[i : i + n]] for i in range(0, n * n, n)]
+    if not det_rows(a, field):
+        return
+    inv = inverse_rows(a, field)
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    b = data.draw(st.lists(st.integers(min_value=-50, max_value=50), min_size=n * k, max_size=n * k))
+    z, d = _solve_int(entries, b, n, k)
+    assert [[ratio(field, z[i * k + c], d) for c in range(k)] for i in range(n)] == [
+        [sum((inv[i][j] * b[j * k + c] for j in range(n)), field.zero) for c in range(k)] for i in range(n)
+    ]
+    z, d = _solve_int(entries, [int(i == j) for i in range(n) for j in range(n)], n, n)
+    assert tuple(tuple(ratio(field, x, d) for x in z[i : i + n]) for i in range(0, n * n, n)) == inv
 
 
 def test_find_regular_in_ball_builds_no_scalars(monkeypatch):
