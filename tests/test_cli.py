@@ -944,3 +944,41 @@ def test_benchmark_check_accepts_oracle_diameter_output(capsys):
     code, stdout, _ = run_cli(["oracle", "diameter", "--n", "2", "--p", "11", "--classes", "2"], capsys)
     assert code == 0
     check.check_oracle_diameter(json.loads(stdout), 2)
+
+
+# SHA-256 over the stdout of `certify --genset X={E_12(1)} --seed s`, in order
+# of s, for the targets random_sl(F, n, Random(s), factors=2n), s = 0..29;
+# recorded when Sourour's basis and the solve in the Borel still ran on
+# scalar rows, so the flat kernels must give the same bytes
+CERTIFY_SWEEP_DIGESTS = {
+    ("Q", 3):
+        "65d411110b016b33e50a7329e2be38a88096bfd9d5f64f1788000b3ded98c4e2",
+    ("Q", 4):
+        "5f8c5de4ff101c3fe438bb4e4a2782277e6b791e3ae048cb9a0755f330ee30f0",
+    ("Q", 5):
+        "f83e903cacf823c9a56d5af98bfa44ecac3bf741db3d4432698a56aee365cf1b",
+    ("Fp:101", 3):
+        "0061dd7a383327ea3c85ca7f70d88d972dfcff55d73af989dea924b36ec72b6f",
+    ("Fp:101", 4):
+        "d32c97bca6accf71c69a9c140bea53f12bb2e7f48eaf7c73d09c02fc00426577",
+    ("Fp:101", 5):
+        "d4b4855744842f040d1cfb45f872ecb20fe1059b53e4e8838a1e9ac9cca5f406",
+}
+
+
+@pytest.mark.parametrize("field_arg,n", sorted(CERTIFY_SWEEP_DIGESTS), ids=lambda v: str(v))
+def test_certify_sweep_is_byte_identical_to_its_digest(tmp_path, capsys, field_arg, n):
+    field = QQ if field_arg == "Q" else GF(101)
+    xs = write_json(tmp_path / "x.json", [matrix_to_json(elementary(field, n, 1, 2, 1))])
+    digest = hashlib.sha256()
+    for seed in range(30):
+        g = random_sl(field, n, Random(seed), factors=2 * n)
+        tgt = write_json(tmp_path / "g.json", matrix_to_json(g))
+        code, stdout, _ = run_cli(
+            ["certify", "--field", field_arg, "--n", str(n), "--target", tgt, "--genset", xs,
+             "--seed", str(seed)],
+            capsys,
+        )
+        assert code == 0
+        digest.update(stdout.encode())
+    assert digest.hexdigest() == CERTIFY_SWEEP_DIGESTS[field_arg, n]
