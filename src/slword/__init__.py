@@ -18,7 +18,6 @@ from .certificate import (
     Letter,
     certificate_from_json,
     certificate_to_json,
-    conjugate_certificate,
     evaluate_certificate,
     require_valid,
     substitute_certificate,

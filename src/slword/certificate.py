@@ -32,7 +32,6 @@ from .matrix import (
     SLMatrix,
     conjugated_factors,
     low_rank_product,
-    mat_product,
     matrix_from_json,
     matrix_to_json,
     rank_factors,
@@ -144,15 +143,13 @@ def substitute_certificate(outer: Certificate, inner: Certificate) -> Certificat
     )
 
 
-def conjugate_certificate(cert: Certificate, c: SLMatrix) -> Certificate:
-    """Certificate for c * target * c^-1 over the same base, letter by letter.
-
-    Conjugation only rewrites the conjugators, so the length is unchanged;
-    word norms are conjugation-invariant and so are their witnesses.
-    """
+def conjugate_certificate(cert: Certificate, c: SLMatrix, target: SLMatrix) -> Certificate:
+    """Certificate for ``target`` = c * cert.target * c^-1, which the caller
+    knows as a product, so c is not inverted: only the conjugators change.
+    The target is checked with the certificate the result goes into."""
     return replace(
         cert,
-        target=mat_product([c, cert.target, c.inverse()]),
+        target=target,
         word=tuple(Letter(c * l.conjugator, l.base_index, l.exponent) for l in cert.word),
     )
 

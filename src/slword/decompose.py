@@ -19,7 +19,7 @@ The pipeline, bottom to top:
   t and t^-1, so each is one unitriangular conjugate of t^{+-1}
   (``unipotent._conjugate_in_borel``), and g = (c_1 t c_1^-1)
   (c_2 t^-1 c_2^-1): 2 letters.  A central g != 1 is (g E_12(-1)) E_12(1),
-  4 letters.
+  4 letters.  All of it runs on the flat ints.
 
 - ``decompose_via_unipotents`` and ``decompose_as_conjugates_of``: the
   paper's route, kept as the tests' reference.  Any g is
@@ -46,8 +46,7 @@ The pipeline, bottom to top:
   1 + (h u)(v^T h^-1), from x^e - 1 = u v^T factored once per generating set
   and h^-1 drawn with h: O(n^2 rho) per letter, not two full products.
   The search runs on the flat int kernel end to end and builds no per-entry
-  scalar; Sourour's basis and the solve in the Borel below still work on
-  scalar rows.
+  scalar.
 
 - ``decompose_full``: t from the ball, g over t by ``decompose_via_sourour``,
   every t^{+-1} letter expanded through t's own certificate: at most
@@ -79,6 +78,10 @@ from .certificate import (
 from .fields import Field
 from .matrix import (
     SLMatrix,
+    _canonical,
+    _diagonal,
+    _left_quotient,
+    _reduced,
     _repeated_diagonal,
     conjugated_factors,
     is_central,
@@ -272,14 +275,13 @@ def decompose_as_conjugates_of(
     return require_valid(_seven_block_certificate(g, t))
 
 
-# -- Sourour's construction, on scalar rows (Fraction or Fp); with
-# unipotent._conjugate_in_borel, the layer of the two-letter route that does
-# not yet run on the flat int kernel
+# -- Sourour's construction: a level is int rows A and an int al, with
+# a = A / D and alpha = al / D for one D (residues over F_p)
 
 
-def _choices(a: list, alpha, field: Field):
-    """(x, f) with x, ax independent, f(x) = 1 and f(ax) = alpha for a
-    non-scalar a of size m, in order:
+def _choices(a: list, al: int, p: int | None):
+    """(x, f, fd) with x, ax independent, f(x) = fd and f(ax) = fd alpha for
+    a non-scalar a of size m, so f / fd is the functional, in order:
     (a) x = e_j, no eigenvector; f = e_j* if a_jj = alpha, else
         e_j* + b e_k* for each k with a_kj != 0;
     (b) x = e_i + e_j; f on each coordinate pair where x, ax are independent;
@@ -310,110 +312,119 @@ def _choices(a: list, alpha, field: Field):
        so a has mu = a_ii once, c elsewhere, and alpha = mu: case (c).
     6. (c) works: (a - c)e_i, (a - c)(e_j + e_k) lie in
        span(a_ii e_i + alpha e_k) only if c = a_ii = alpha != a_ii.
-    So no choice is ever undone.
+    So no choice is ever undone.  D cancels from every test and every f.
     """
-    m, one, zero = len(a), field.one, field.zero
+    m = len(a)
+    red = int if p is None else (lambda v: v % p)
     diagonal = True
     for j in range(m):
         col = [row[j] for row in a]
         if not any(col[:j] + col[j + 1 :]):
             continue  # e_j is an eigenvector
         diagonal = False
-        x = [zero] * m
-        x[j] = one
-        if col[j] == alpha:
-            yield x, x
+        x = [0] * m
+        x[j] = 1
+        if col[j] == al:
+            yield x, x, 1
             continue
         for k in range(m):
             if k != j and col[k]:
-                f = list(x)
-                f[k] = (alpha - col[j]) / col[k]
-                yield x, f
+                f = [0] * m
+                f[j], f[k] = col[k], red(al - col[j])
+                yield x, f, col[k]
     for i, j in combinations(range(m), 2):
-        x = [zero] * m
-        x[i] = x[j] = one
-        y = [row[i] + row[j] for row in a]
+        x = [0] * m
+        x[i] = x[j] = 1
+        y = [red(row[i] + row[j]) for row in a]
         for k, l in combinations(range(m), 2):
-            det = x[k] * y[l] - x[l] * y[k]
+            det = red(x[k] * y[l] - x[l] * y[k])
             if det:
-                f = [zero] * m
-                f[k], f[l] = (y[l] - alpha * x[l]) / det, (alpha * x[k] - y[k]) / det
-                yield x, f
+                f = [0] * m
+                f[k], f[l] = red(y[l] - al * x[l]), red(al * x[k] - y[k])
+                yield x, f, det
     d = [a[i][i] for i in range(m)]
-    if diagonal and m > 2 and d.count(alpha) == 1:
-        k = d.index(alpha)
+    if diagonal and m > 2 and d.count(al) == 1:
+        k = d.index(al)
         i, j = [r for r in range(m) if r != k][:2]
-        x, f = [zero] * m, [zero] * m
-        x[i] = x[k] = f[k] = one
-        f[j] = -one
-        yield x, f
+        x, f = [0] * m, [0] * m
+        x[i] = x[k] = f[k] = 1
+        f[j] = red(-1)
+        yield x, f, 1
 
 
-def _sourour_columns(a: list, alphas: list, field: Field) -> list:
-    """Columns of S with det S = 1 and S^-1 a S = L U, where L U has the
-    successive pivots alphas: the first of ``_choices`` that leaves a
-    non-scalar Schur complement (any at size 2), then the same one level down.
+def _sourour_columns(a: list, den: int, alphas: list, p: int | None) -> tuple[list, int]:
+    """The columns of S over e, det S = 1 and S^-1 (a / den) S = L U, where
+    L U has the successive pivots alphas, int pairs (num, den): the first of
+    ``_choices`` that leaves a non-scalar Schur complement (any at size 2),
+    then the same one level down.
 
-    For a choice (x, f) with pivot p (the first f_p != 0), the basis is
-    (s x, e_i - (f_i / f_p) e_p for i != p) with s = (-1)^p f_p, which makes
-    its determinant 1; in it a has (1,1) entry f(ax) = alpha, and the Schur
-    complement of that entry is the next level's matrix.
+    For a choice (x, f) with pivot q (the first f_q != 0), the basis is
+    (s x, b_i = e_i - (f_i / f_q) e_q for i != q) with s = (-1)^q f_q, which
+    makes its determinant 1; in it a has (1,1) entry f(ax) = alpha, and the
+    Schur complement of that entry, a B - (a x)(f^T a B) / alpha without row
+    q, is the next level's matrix: with y = A x, z_j = f_q A_j - f_j A_q
+    for column A_j and w_j = f . z_j, entry (i, j) is
+    (al fd z_ji - y_i w_j) / (al fd f_q D).  Levels are reduced by
+    ``_reduced``.
     """
-    m, alpha = len(a), alphas[0]
-    for x, f in _choices(a, alpha, field):
-        p = next(i for i in range(m) if f[i])
-        basis = [x]
-        for i in range(m):
-            if i != p:
-                b = [field.zero] * m
-                b[i], b[p] = field.one, -f[i] / f[p]
-                basis.append(b)
+    m, (num, dn) = len(a), alphas[0]
+    *flat, al, den = _reduced(p, [x * dn for row in a for x in row] + [num * den, den * dn])
+    a = [flat[i : i + m] for i in range(0, m * m, m)]
+    for x, f, fd in _choices(a, al, p):
+        q = next(i for i in range(m) if f[i])
+        fq, rest = f[q], [i for i in range(m) if i != q]
         if m == 2:
-            sub = [[field.one]]
+            sub, e = [[1]], 1
             break
-        # cols[j][i] is entry (i, j) of a in that basis: the coordinates of
-        # a b_j are f(a b_j), then (a b_j)_i - f(a b_j) x_i for i != p
-        cols = []
-        for b in basis:
-            y = [sum(map(mul, row, b)) for row in a]
-            c0 = sum(map(mul, f, y))
-            cols.append([c0] + [y[i] - c0 * x[i] for i in range(m) if i != p])
-        schur = [[cols[j][i] - cols[0][i] * cols[j][0] / alpha for j in range(1, m)] for i in range(1, m)]
+        y = [sum(map(mul, row, x)) for row in a]
+        zs = [[fq * row[j] - f[j] * row[q] for row in a] for j in rest]
+        ws = [sum(map(mul, f, z)) for z in zs]
+        scale = al * fd
+        *schur, d = _reduced(p, [scale * z[i] - y[i] * w for i in rest for z, w in zip(zs, ws)]
+                             + [scale * fq * den])
+        schur = [schur[i : i + m - 1] for i in range(0, len(schur), m - 1)]
         if not _is_scalar(schur):
-            sub = _sourour_columns(schur, alphas[1:], field)
+            sub, e = _sourour_columns(schur, d, alphas[1:], p)
             break
     else:
         raise RuntimeError(f"Sourour's rule found no basis vector at size {m}")
-    s = f[p] if p % 2 == 0 else -f[p]
-    # S = [s x | basis[1:]] * diag(1, sub)
-    return [[s * v for v in x]] + [
-        [sum(basis[1 + k][r] * c[k] for k in range(m - 1)) for r in range(m)] for c in sub
-    ]
+    # S = [s x | B] diag(1, sub) over fd f_q e: s x = (-1)^q (f_q / fd) x,
+    # and B c / e is c / e with -(f . c) / (f_q e) put in at q
+    cols = [[(fq if q % 2 == 0 else -fq) * fq * e * v for v in x]]
+    for c in sub:
+        col = [fd * fq * v for v in c]
+        col.insert(q, -fd * sum([f[i] * v for i, v in zip(rest, c)]))
+        cols.append(col)
+    *flat, e = _reduced(p, [v for col in cols for v in col] + [fd * fq * e])
+    return [flat[i : i + m] for i in range(0, m * m, m)], e
 
 
 def _is_scalar(a: list) -> bool:
-    return all(a[i][j] == (a[0][0] if i == j else 0) for i in range(len(a)) for j in range(len(a)))
+    c = a[0][0]
+    return all(v == (c if i == j else 0) for i, row in enumerate(a) for j, v in enumerate(row))
 
 
 def _sourour_basis(g: SLMatrix, alphas: list) -> SLMatrix:
     """S in SL_n with S^-1 g S = L U, L lower and U upper triangular, the
-    product of their k-th diagonal entries alphas[k], for a non-central g."""
-    cols = _sourour_columns([list(r) for r in g.rows], alphas, g.field)
-    return SLMatrix(g.field, [[c[i] for c in cols] for i in range(g.n)])
+    product of their k-th diagonal entries alphas[k] = num / den, an int
+    pair, for a non-central g."""
+    n, p = g.n, g.field.p
+    cols, e = _sourour_columns([list(g.entries[i : i + n]) for i in range(0, n * n, n)], g.den, alphas, p)
+    return SLMatrix._wrap(g.field, n, *_canonical(p, [c[i] for i in range(n) for c in cols], e))
 
 
 def _two_letter_word(g: SLMatrix, t: SLMatrix) -> tuple:
     """g = (c_1 t c_1^-1)(c_2 t^-1 c_2^-1) for a non-central g: with
     S^-1 g S = L U, c_1 = S n_0 v_1 and c_2 = S v_2 for the unitriangular
-    v_1 t v_1^-1 = n_0^-1 L n_0 and v_2 t^-1 v_2^-1 = U."""
+    v_1 t v_1^-1 = n_0^-1 L n_0 and v_2 t^-1 v_2^-1 = U.  t's diagonal is
+    d / den; L has diagonal beta = (d_n, ..., d_1) / den and U has
+    gamma = den / (d_1, ..., d_n), each of product det t = 1."""
     field, n = g.field, g.n
-    d = [row[i] for i, row in enumerate(t.rows)]
-    beta = d[::-1]
-    gamma = [1 / x for x in d]
-    s = _sourour_basis(g, [b * c for b, c in zip(beta, gamma)])
-    cell = big_cell_decompose(mat_product([s.inverse(), g, s]))
-    lower = cell.lower * SLMatrix.diagonal(field, beta)
-    upper = SLMatrix.diagonal(field, gamma) * cell.upper
+    d, den = t.entries[:: n + 1], t.den
+    s = _sourour_basis(g, [(d[n - 1 - k], d[k]) for k in range(n)])
+    cell = big_cell_decompose(_left_quotient(s, g * s))
+    lower = cell.lower * _diagonal(field, [(x, den) for x in d[::-1]])
+    upper = _diagonal(field, [(den, x) for x in d]) * cell.upper
     n0 = longest_element_rep(field, n)
     # n_0^-1 L n_0 has t's diagonal and U has t^-1's, so each is one
     # unitriangular conjugate of t or t^-1
@@ -540,12 +551,13 @@ def find_regular_in_ball(
                 r = n - 1
             continue
         run = 0
-        if left is None:
-            # b (u n_0 b) b^-1 = (b u) n_0
-            left = conjugate_certificate(cert, cell.diag * cell.upper)
+        b = cell.diag * cell.upper
+        if left is None:  # b (u n_0 b) b^-1 = b n_0 L
+            left = conjugate_certificate(cert, b, mat_product([b, n0, cell.lower]))
             continue
-        # u^-1 (u n_0 b) u = n_0 (b u), with u^-1 = n_0 L^-1 n_0^-1
-        right = conjugate_certificate(cert, mat_product([n0, cell.lower.inverse(), n0i]))
+        # u^-1 (u n_0 b) u = n_0 b n_0 L n_0^-1, u^-1 = n_0 L^-1 n_0^-1
+        right = conjugate_certificate(cert, mat_product([n0, cell.lower.inverse(), n0i]),
+                                      mat_product([n0, b, n0, cell.lower, n0i]))
         t = left.target * right.target
         word = left.word + right.word
         left = None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Union
 
@@ -30,8 +31,10 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MODULUS_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
-    """Primality of 0 <= p < MODULUS_LIMIT, by deterministic Miller-Rabin."""
+    """Primality of 0 <= p < MODULUS_LIMIT, by deterministic Miller-Rabin;
+    cached for the Field of every JSON matrix."""
     if p < 2:
         return False
     for a in _BASES:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -73,7 +73,8 @@ class SLMatrix:
         # entries/den must be canonical and of determinant 1 by construction:
         # the identity, a product or inverse of checked matrices, a matrix
         # made from one by elementary row or column operations, a factor of an
-        # LDU factorization, or the signed anti-diagonal n_0; the kernels
+        # LDU factorization, the signed anti-diagonal n_0, a diagonal whose
+        # entries multiply to 1, or Sourour's basis; the kernels
         # compute them exactly (tests/test_kernel.py pins them against the
         # scalar reference)
         out = cls.__new__(cls)
@@ -111,10 +112,7 @@ class SLMatrix:
         )
 
     def inverse(self) -> "SLMatrix":
-        n, p = self.n, self.field.p
-        if p is not None:
-            return SLMatrix._wrap(self.field, n, _inverse_mod(self.entries, n, p), 1)
-        return SLMatrix._wrap(self.field, n, *_inverse_q(self.entries, self.den, n))
+        return _left_quotient(self, SLMatrix.identity(self.field, self.n))
 
     def __pow__(self, k: int) -> "SLMatrix":
         if k < 0:
@@ -182,9 +180,7 @@ def _lowest_terms(pairs: list) -> tuple[tuple, int]:
     over the lcm of the raw denominators, then reduced by gcd(den, *entries),
     which leaves den the lcm of the reduced denominators."""
     den = lcm(*[b for _, b in pairs])
-    entries = [a * (den // b) for a, b in pairs]
-    g = gcd(den, *entries)
-    return tuple([x // g for x in entries]), den // g
+    return _canonical(None, [a * (den // b) for a, b in pairs], den)
 
 
 def _identity_entries(n: int) -> tuple:
@@ -304,23 +300,49 @@ def _solve_int(a: Sequence, b: Sequence, n: int, k: int) -> tuple[list, int]:
     return [x for row in m for x in row], prev
 
 
-def _inverse_q(a: tuple, den: int, n: int) -> tuple[tuple, int]:
-    """(entries, den) of the inverse of a / den over Q:
-    (a / den)^-1 = den * (d*a^-1) / d, reduced to lowest terms."""
-    entries, d = _solve_int(a, _identity_entries(n), n, n)
-    if d < 0:
-        den, d = -den, -d
-    entries = [x * den for x in entries]
-    g = gcd(d, *entries)
-    return tuple([x // g for x in entries]), d // g
-
-
 def _inverse_mod(a: tuple, n: int, p: int) -> tuple:
     """Inverse over F_p of the residues a, invertible mod p: the integer
     inverse, reduced.  d = +-det a is nonzero mod p, so a unit."""
-    entries, d = _solve_int(a, _identity_entries(n), n, n)
-    f = pow(d, -1, p)
-    return tuple([x * f % p for x in entries])
+    return _canonical(p, *_solve_int(a, _identity_entries(n), n, n))[0]
+
+
+def _reduced(p: int | None, vals: list) -> list:
+    """The ints vals mod p, or over Q divided by their content; for
+    numerators with their denominator among vals, no ratio changes."""
+    if p is not None:
+        return [v % p for v in vals]
+    g = gcd(*vals)
+    return [v // g for v in vals] if g > 1 else vals
+
+
+def _canonical(p: int | None, entries: list, den: int) -> tuple[tuple, int]:
+    """Canonical (entries, den) of the flat entries / den, den != 0 (a unit
+    mod p): residues over 1 over F_p; over Q den > 0 and lowest terms."""
+    if p is not None:
+        f = pow(den, -1, p)
+        return tuple([x * f % p for x in entries]), 1
+    if den < 0:
+        entries, den = [-x for x in entries], -den
+    *entries, den = _reduced(None, [*entries, den])
+    return tuple(entries), den
+
+
+def _left_quotient(a: "SLMatrix", b: "SLMatrix") -> "SLMatrix":
+    """a^-1 b from one ``_solve_int`` of A z = B, the inverse for b = 1:
+    (A / da)^-1 (B / db) = da z / (d db)."""
+    z, d = _solve_int(a.entries, b.entries, a.n, a.n)
+    if a.den != 1:
+        z = [x * a.den for x in z]
+    return SLMatrix._wrap(a.field, a.n, *_canonical(a.field.p, z, d * b.den))
+
+
+def _diagonal(field: Field, ratios: Sequence) -> "SLMatrix":
+    """diag(a_1 / b_1, ..., a_n / b_n) for int pairs (a_k, b_k), b_k != 0
+    (a unit mod p), of product 1, so wrapped without a check."""
+    n, den = len(ratios), prod([b for _, b in ratios])
+    es = [0] * (n * n)
+    es[:: n + 1] = [a * (den // b) for a, b in ratios]
+    return SLMatrix._wrap(field, n, *_canonical(field.p, es, den))
 
 
 def _det_scalar(field: Field, n: int, entries: tuple, den: int) -> Scalar:

@@ -24,19 +24,20 @@ of column j (0-based internally, despite the 1-based matrix-entry indexing).
 from __future__ import annotations
 
 from .fields import Field
-from .matrix import SLMatrix
+from .matrix import SLMatrix, _flat_entries
 
 
 def elementary(field: Field, n: int, i: int, j: int, x) -> SLMatrix:
-    """E_ij(x) = I + x at entry (i, j), 1-based, i != j."""
+    """E_ij(x) = I + x at entry (i, j), 1-based, i != j, on the flat ints."""
     if i == j:
         raise ValueError("elementary matrix needs i != j")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices ({i},{j}) out of range for n={n}")
-    one, zero = field.one, field.zero
-    rows = [[one if r == c else zero for c in range(n)] for r in range(n)]
-    rows[i - 1][j - 1] = field.scalar(x)
-    return SLMatrix(field, rows)
+    (e,), den = _flat_entries(field, [x])
+    entries = [0] * (n * n)
+    entries[:: n + 1] = [den] * n
+    entries[(i - 1) * n + j - 1] = e
+    return SLMatrix._wrap(field, n, tuple(entries), den)
 
 
 def longest_perm(n: int) -> tuple[int, ...]:

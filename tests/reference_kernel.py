@@ -15,7 +15,12 @@ the identity, and ``test_oracle.py`` checks ``delta`` against it.
 ``schur_in_basis`` is one level of Sourour's basis, computed by an explicit
 change of basis, and ``level_choices_by_brute_force`` lists every (x, f) a
 level over a small F_p could take; ``test_decompose.py`` checks the level
-rule of ``decompose._choices`` against them.
+rule of ``decompose._choices`` against them.  ``level_choices_rows``,
+``sourour_columns_rows`` and ``sourour_basis_rows`` are that rule and the
+basis as they ran on scalar rows before they moved to the flat ints, and
+``conjugate_in_borel_rows`` is the solve in the Borel on scalar rows;
+``test_decompose.py`` and ``test_unipotent.py`` check the flat forms
+against them.
 
 ``diagonalize_in_borel`` and ``twisted_solve`` are the two graded
 recurrences ``slword.unipotent`` ran before its one solve in the Borel, and
@@ -45,9 +50,10 @@ against it.
 
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from slword.bruhat import big_cell_decompose
-from slword.decompose import _random_sl_and_inverse, _sourour_basis, random_sl
+from slword.decompose import _random_sl_and_inverse, random_sl
 from slword.fields import Field
 from slword.matrix import SLMatrix, _mul_mod, mat_product
 from slword.oracle import DeltaReport, GroupTable, SubsetResult, _letters
@@ -411,6 +417,115 @@ def level_choices_by_brute_force(a, alpha, field: Field):
                 yield x, f, is_scalar_rows(schur_in_basis(a, x, f, field))
 
 
+def level_choices_rows(a: list, alpha, field: Field):
+    """``decompose._choices`` on scalar rows: the (x, f) of each case in
+    the same order, f(x) = 1 and f(ax) = alpha."""
+    m, one, zero = len(a), field.one, field.zero
+    diagonal = True
+    for j in range(m):
+        col = [row[j] for row in a]
+        if not any(col[:j] + col[j + 1 :]):
+            continue  # e_j is an eigenvector
+        diagonal = False
+        x = [zero] * m
+        x[j] = one
+        if col[j] == alpha:
+            yield x, x
+            continue
+        for k in range(m):
+            if k != j and col[k]:
+                f = list(x)
+                f[k] = (alpha - col[j]) / col[k]
+                yield x, f
+    for i, j in combinations(range(m), 2):
+        x = [zero] * m
+        x[i] = x[j] = one
+        y = [row[i] + row[j] for row in a]
+        for k, l in combinations(range(m), 2):
+            det = x[k] * y[l] - x[l] * y[k]
+            if det:
+                f = [zero] * m
+                f[k], f[l] = (y[l] - alpha * x[l]) / det, (alpha * x[k] - y[k]) / det
+                yield x, f
+    d = [a[i][i] for i in range(m)]
+    if diagonal and m > 2 and d.count(alpha) == 1:
+        k = d.index(alpha)
+        i, j = [r for r in range(m) if r != k][:2]
+        x, f = [zero] * m, [zero] * m
+        x[i] = x[k] = f[k] = one
+        f[j] = -one
+        yield x, f
+
+
+def sourour_columns_rows(a: list, alphas: list, field: Field) -> list:
+    """Columns of S with det S = 1 and S^-1 a S = L U, where L U has the
+    successive pivots alphas: the first of ``level_choices_rows`` that leaves
+    a non-scalar Schur complement (any at size 2), then the same one level down.
+
+    For a choice (x, f) with pivot p (the first f_p != 0), the basis is
+    (s x, e_i - (f_i / f_p) e_p for i != p) with s = (-1)^p f_p, which makes
+    its determinant 1; in it a has (1,1) entry f(ax) = alpha, and the Schur
+    complement of that entry is the next level's matrix.
+    """
+    m, alpha = len(a), alphas[0]
+    for x, f in level_choices_rows(a, alpha, field):
+        p = next(i for i in range(m) if f[i])
+        basis = [x]
+        for i in range(m):
+            if i != p:
+                b = [field.zero] * m
+                b[i], b[p] = field.one, -f[i] / f[p]
+                basis.append(b)
+        if m == 2:
+            sub = [[field.one]]
+            break
+        # cols[j][i] is entry (i, j) of a in that basis: the coordinates of
+        # a b_j are f(a b_j), then (a b_j)_i - f(a b_j) x_i for i != p
+        cols = []
+        for b in basis:
+            y = [sum(map(mul, row, b)) for row in a]
+            c0 = sum(map(mul, f, y))
+            cols.append([c0] + [y[i] - c0 * x[i] for i in range(m) if i != p])
+        schur = [[cols[j][i] - cols[0][i] * cols[j][0] / alpha for j in range(1, m)] for i in range(1, m)]
+        if not is_scalar_rows(schur):
+            sub = sourour_columns_rows(schur, alphas[1:], field)
+            break
+    else:
+        raise RuntimeError(f"Sourour's rule found no basis vector at size {m}")
+    s = f[p] if p % 2 == 0 else -f[p]
+    # S = [s x | basis[1:]] * diag(1, sub)
+    return [[s * v for v in x]] + [
+        [sum(basis[1 + k][r] * c[k] for k in range(m - 1)) for r in range(m)] for c in sub
+    ]
+
+
+def sourour_basis_rows(g: SLMatrix, alphas: list) -> SLMatrix:
+    """S in SL_n with S^-1 g S = L U, L lower and U upper triangular, the
+    product of their k-th diagonal entries alphas[k], for a non-central g."""
+    cols = sourour_columns_rows([list(r) for r in g.rows], alphas, g.field)
+    return SLMatrix(g.field, [[c[i] for c in cols] for i in range(g.n)])
+
+
+def conjugate_in_borel_rows(a: SLMatrix, b: SLMatrix) -> SLMatrix:
+    """The unique upper unitriangular v with v a v^-1 = b, for upper
+    triangular a and b with the same pairwise distinct diagonal (unchecked)."""
+    field, n, arows, brows = a.field, a.n, a.rows, b.rows
+    one, zero = field.one, field.zero
+    v = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for off in range(1, n):
+        for i in range(n - off):
+            j = i + off
+            acc = zero
+            for k in range(i + 1, j + 1):
+                if brows[i][k] and v[k][j]:
+                    acc = acc + brows[i][k] * v[k][j]
+            for k in range(i, j):
+                if v[i][k] and arows[k][j]:
+                    acc = acc - v[i][k] * arows[k][j]
+            v[i][j] = acc / (arows[j][j] - arows[i][i])
+    return SLMatrix(field, v)
+
+
 def diagonalize_in_borel(t):
     """v upper unitriangular with v t v^-1 = diag(t), from v t = diag(t) v:
     v_ij = (sum_{i<=k<j} v_ik t_kj) / (t_ii - t_jj)."""
@@ -451,7 +566,7 @@ def two_letter_conjugators_by_products(g, t):
     d = [row[i] for i, row in enumerate(t.rows)]
     beta = d[::-1]
     gamma = [1 / x for x in d]
-    s = _sourour_basis(g, [b * c for b, c in zip(beta, gamma)])
+    s = sourour_basis_rows(g, [b * c for b, c in zip(beta, gamma)])
     cell = big_cell_decompose(mat_product([s.inverse(), g, s]))
     lower = cell.lower * SLMatrix.diagonal(field, beta)
     upper = SLMatrix.diagonal(field, gamma) * cell.upper

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_kernel import dense_conjugator, element_of_rank, evaluate_by_products, rank_rows
+from reference_kernel import conjugate, dense_conjugator, element_of_rank, evaluate_by_products, rank_rows
 
 from slword import (
     GF,
@@ -18,12 +18,12 @@ from slword import (
     SLMatrix,
     certificate_from_json,
     certificate_to_json,
-    conjugate_certificate,
     elementary,
     evaluate_certificate,
     unipotent_as_two_conjugates,
     verify_certificate,
 )
+from slword.certificate import conjugate_certificate
 
 
 def worked_certificate():
@@ -78,9 +78,9 @@ def test_evaluate_returns_the_product():
 def test_conjugating_a_certificate_preserves_length_and_validity():
     cert = worked_certificate()
     c = SLMatrix(QQ, [[1, 2], [1, 3]])
-    moved = conjugate_certificate(cert, c)
+    moved = conjugate_certificate(cert, c, conjugate(cert.target, c))
     assert moved.length == cert.length
-    assert moved.target == c * cert.target * c.inverse()
+    assert [l.conjugator for l in moved.word] == [c * l.conjugator for l in cert.word]
     assert verify_certificate(moved)
 
 

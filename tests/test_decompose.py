@@ -19,7 +19,6 @@ from slword import (
     SLMatrix,
     big_cell_decompose,
     bruhat_decompose,
-    conjugate_certificate,
     decompose,
     decompose_as_conjugates_of,
     decompose_full,
@@ -40,15 +39,19 @@ from slword import (
     verify_certificate,
 )
 from slword import bruhat, certificate
+from slword.certificate import conjugate_certificate
 from slword.rootdata import longest_perm
 
 from reference_kernel import (
     ball_sample_target_by_products,
+    conjugate,
     element_of_rank,
     is_scalar_rows,
     level_choices_by_brute_force,
+    level_choices_rows,
     rank_rows,
     schur_in_basis,
+    sourour_basis_rows,
 )
 
 
@@ -361,9 +364,8 @@ def test_conjugation_equivariance(rng):
     g = SLMatrix(QQ, [[1, 2], [1, 3]])
     cert = decompose_full(g, X, Random(11))
     c = SLMatrix(QQ, [[1, 1], [1, 2]])
-    moved = conjugate_certificate(cert, c)
+    moved = conjugate_certificate(cert, c, conjugate(g, c))
     assert moved.length == cert.length
-    assert moved.target == c * g * c.inverse()
     assert verify_certificate(moved)
 
 
@@ -448,6 +450,40 @@ def test_sourour_route_lengths(case):
     assert verify_certificate(cert)
 
 
+# Sourour's basis on the flat ints against the scalar rows it was built on
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(short_route_cases())
+def test_flat_sourour_basis_equals_the_scalar_one(case):
+    g, t, _ = case
+    field, n = g.field, g.n
+    if is_central(g):
+        g = g * elementary(field, n, 1, 2, -1)
+    d, ds = t.entries[:: n + 1], [t.rows[i][i] for i in range(n)]
+    flat = decompose._sourour_basis(g, [(d[n - 1 - k], d[k]) for k in range(n)])
+    assert flat == sourour_basis_rows(g, [ds[n - 1 - k] / ds[k] for k in range(n)])
+
+
+def test_two_letter_route_refuses_a_wrong_borel_solve_under_python_O(subprocess_env):
+    # nothing in the flat kernels rests on an assert: a solve in the Borel
+    # that returns a wrong v is caught by the one exact check, also under -O
+    script = (
+        "from random import Random\n"
+        "from slword import QQ, CertificateMismatch, SLMatrix, decompose, elementary, random_sl\n"
+        "g = random_sl(QQ, 3, Random(1))\n"
+        "t = SLMatrix(QQ, [[2, 1, 0], [0, 3, 1], [0, 0, '1/6']])\n"
+        "real = decompose._conjugate_in_borel\n"
+        "decompose._conjugate_in_borel = lambda a, b: real(a, b) * elementary(QQ, 3, 1, 2, 1)\n"
+        "try:\n"
+        "    decompose.decompose_via_sourour(g, t)\n"
+        "except CertificateMismatch as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                       env=subprocess_env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "refused: the constructed word does not multiply to the target\n"
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_full_certificate_is_at_most_eight_per_radius(n, field, rng):
     with seven_blocks_forbidden():
@@ -477,12 +513,17 @@ def dot(u, v, field):
 
 
 def rule_choice(a, alpha, field):
-    """The choice a level takes, checked: every (x, f) the rule lists up to it
+    """The choice the flat level rule takes for the scalar rows a over F_p,
+    checked: every (x, f) it lists up to that one equals the scalar rule's,
     has x, ax independent, f(x) = 1 and f(ax) = alpha, and it is the first
     whose Schur complement, by the reference's change of basis, is not
     scalar (the first of all at size 2)."""
     m = len(a)
-    for x, f in decompose._choices(a, alpha, field):
+    flat = decompose._choices([[e.val for e in row] for row in a], alpha.val, field.p)
+    for (xs, fs, fd), want in zip(flat, level_choices_rows(a, alpha, field)):
+        x = [field.scalar(v) for v in xs]
+        f = [field.scalar(v) / fd for v in fs]
+        assert (x, f) == want
         y = [dot(row, x, field) for row in a]
         assert any(x[i] * y[k] != x[k] * y[i] for i in range(m) for k in range(i + 1, m))
         assert dot(f, x, field) == field.one and dot(f, y, field) == alpha
@@ -573,8 +614,8 @@ def test_each_level_rule_decides_an_end_to_end_target(field, family, monkeypatch
     taken = []
     real = decompose._choices
 
-    def spy(a, alpha, field):
-        for choice in real(a, alpha, field):
+    def spy(a, al, p):
+        for choice in real(a, al, p):
             taken.append((len(a), choice))
             yield choice
 
@@ -586,7 +627,7 @@ def test_each_level_rule_decides_an_end_to_end_target(field, family, monkeypatch
          "c": SLMatrix.diagonal(field, [one / 4, 2, 2])}[family]
     cert = decompose_via_sourour(g, t)
     assert cert.length == 2 and verify_certificate(cert)
-    x, f = [choice for m, choice in taken if m == 3][-1]  # the top level's last, so its pick
+    x, f, _ = [choice for m, choice in taken if m == 3][-1]  # the top level's last, so its pick
     support = {i for i in range(3) if x[i]}
     assert family == ("a" if len(support) == 1 else "b" if {i for i in range(3) if f[i]} <= support else "c")
 

@@ -124,6 +124,20 @@ def test_modulus_primality_agrees_with_trial_division():
         assert _is_prime(p) == by_trial_division(p), p
 
 
+def test_primality_is_decided_once_per_modulus():
+    # every JSON matrix builds its own Field(p); Miller-Rabin runs for the
+    # first only, and a cached composite is refused with the same message
+    _is_prime.cache_clear()
+    field = GF(101)
+    for _ in range(50):
+        assert Field.from_json({"kind": "Fp", "p": 101}) == field
+    for _ in range(2):
+        with pytest.raises(ValueError, match="modulus must be prime, got 561"):
+            Field(561)
+    info = _is_prime.cache_info()
+    assert (info.misses, info.hits) == (2, 51)
+
+
 def test_large_prime_moduli_are_accepted_below_the_limit():
     # the last is the largest prime below the limit
     for p in (10**18 + 3, 2**61 - 1, 3317044064679887385961813):

@@ -22,6 +22,7 @@ from slword import (
     GeneratingSet,
     SLMatrix,
     big_cell_decompose,
+    decompose_full,
     elementary,
     find_regular_in_ball,
     longest_element_rep,
@@ -34,7 +35,6 @@ from slword.decompose import _random_sl_and_inverse
 from slword.matrix import (
     _det_scalar,
     _inverse_mod,
-    _inverse_q,
     _product,
     _rank_factor,
     _solve_int,
@@ -103,12 +103,12 @@ def test_inverse_matches_reference(m):
     if not det_rows(rows, field):
         return
     entries, den = flat(field, rows)
+    inv = SLMatrix._wrap(field, n, entries, den).inverse()  # the kernel needs no det 1
     if field.p is None:
-        inv, inv_den = _inverse_q(entries, den, n)
-        assert (inv, inv_den) == flat(field, inverse_rows(rows, field))
+        assert (inv.entries, inv.den) == flat(field, inverse_rows(rows, field))
     else:
-        inv, inv_den = _inverse_mod(entries, n, field.p), 1
-    assert scalars(field, n, inv, inv_den) == inverse_rows(rows, field)
+        assert inv.entries == _inverse_mod(entries, n, field.p)
+    assert scalars(field, n, inv.entries, inv.den) == inverse_rows(rows, field)
 
 
 @settings(max_examples=150, deadline=None)
@@ -271,20 +271,43 @@ def test_solve_matches_reference(m, data):
     assert tuple(tuple(ratio(field, x, d) for x in z[i : i + n]) for i in range(0, n * n, n)) == inv
 
 
-def test_find_regular_in_ball_builds_no_scalars(monkeypatch):
-    # certify-q and certify-fp shaped inputs: X = {E_12(1)} over Q at n = 4
-    # and over F_101 at n = 5
-    sets = [GeneratingSet.of([elementary(field, n, 1, 2, 1)]) for field, n in [(QQ, 4), (GF(101), 5)]]
+def forbid_scalars(monkeypatch, what):
+    """Make every way of building a per-entry field scalar raise."""
 
     def no_scalars(*args, **kwargs):
-        raise AssertionError("the regular-element search built a per-entry scalar")
+        raise AssertionError(f"{what} built a per-entry scalar")
 
     monkeypatch.setattr(SLMatrix, "rows", property(no_scalars))
     monkeypatch.setattr(Field, "scalar", no_scalars)
     monkeypatch.setattr(Field, "zero", property(no_scalars))
     monkeypatch.setattr(Field, "one", property(no_scalars))
     monkeypatch.setattr(Fp, "__init__", no_scalars)
+
+
+def test_find_regular_in_ball_builds_no_scalars(monkeypatch):
+    # certify-q and certify-fp shaped inputs: X = {E_12(1)} over Q at n = 4
+    # and over F_101 at n = 5
+    sets = [GeneratingSet.of([elementary(field, n, 1, 2, 1)]) for field, n in [(QQ, 4), (GF(101), 5)]]
+    forbid_scalars(monkeypatch, "the regular-element search")
     found = [find_regular_in_ball(X, Random(seed)) for X in sets for seed in (3, 5)]
     monkeypatch.undo()
     for t, cert in found:
         assert cert.target == t and verify_certificate(cert)
+
+
+def test_decompose_full_builds_no_scalars(monkeypatch):
+    # the whole certify route, the two-letter word and, for a central
+    # target, the last two letters from unipotent_as_two_conjugates: over Q
+    # at n = 4 (-1 is central) and over F_101 at n = 5 (z = 36 has z^5 = 1)
+    cases = []
+    for field, n, z in [(QQ, 4, -1), (GF(101), 5, 36)]:
+        X = GeneratingSet.of([elementary(field, n, 1, 2, 1)])
+        central = SLMatrix.diagonal(field, [z] * n)
+        cases += [(random_sl(field, n, Random(7), factors=2 * n), X), (central, X)]
+    forbid_scalars(monkeypatch, "decompose_full")
+    certs = [decompose_full(g, X, Random(11)) for g, X in cases]
+    monkeypatch.undo()
+    routes = [cert.stats["route"] for cert in certs]
+    assert routes == ["two-letter", "two-letter (central: 4 letters)"] * 2
+    for cert, (g, _) in zip(certs, cases):
+        assert cert.target == g and verify_certificate(cert)

@@ -20,7 +20,12 @@ from slword import (
 )
 from slword.unipotent import _conjugate_in_borel
 
-from reference_kernel import diagonalize_in_borel, twisted_solve, two_letter_conjugators_by_products
+from reference_kernel import (
+    conjugate_in_borel_rows,
+    diagonalize_in_borel,
+    twisted_solve,
+    two_letter_conjugators_by_products,
+)
 
 
 def random_unitriangular(field, n, rng, bound=5):
@@ -186,3 +191,18 @@ def test_solve_equals_the_reference_recurrences(case):
     assert [l.conjugator for l in cert.word] == [twisted_solve(d, u) * vt, vt]
     c1, c2 = (l.conjugator for l in decompose._two_letter_word(g, t))
     assert (c1, c2) == two_letter_conjugators_by_products(g, t)
+
+
+# the flat solve against the scalar one: v a v^-1 = b has the unique
+# unitriangular solution w for b = w a w^-1; the entry 1/3 of w gives b,
+# over Q, a denominator other than a's
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(borel_cases())
+def test_flat_solve_equals_the_scalar_one(case):
+    t, u, _ = case
+    w = u * elementary(t.field, t.n, 1, t.n, t.field.one / 3)
+    for b in (mat_product([w, t, w.inverse()]), u * diagonal_of(t)):
+        v = _conjugate_in_borel(t, b)
+        assert v == conjugate_in_borel_rows(t, b)
+        assert mat_product([v, t, v.inverse()]) == b
+    assert _conjugate_in_borel(t, mat_product([w, t, w.inverse()])) == w
