@@ -303,7 +303,9 @@ def _solve_int(a: Sequence, b: Sequence, n: int, k: int) -> tuple[list, int]:
 def _inverse_mod(a: tuple, n: int, p: int) -> tuple:
     """Inverse over F_p of the residues a, invertible mod p: the integer
     inverse, reduced.  d = +-det a is nonzero mod p, so a unit."""
-    return _canonical(p, *_solve_int(a, _identity_entries(n), n, n))[0]
+    entries, d = _solve_int(a, _identity_entries(n), n, n)
+    f = pow(d, -1, p)
+    return tuple([x * f % p for x in entries])
 
 
 def _reduced(p: int | None, vals: list) -> list:
